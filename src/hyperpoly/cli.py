@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 on usage or parse errors (bad syntax never
-reaches the library), 3 on domain errors such as NotARoot or
-DegreeBoundExceeded.  With --json, domain errors are reported as a
-machine-readable object {"error": {"code": ..., "message": ...}} on
-stdout.  All output is deterministic: identical command lines produce
-byte-identical output.
+reaches the library) and on an --svg file that cannot be written, 3 on
+domain errors such as NotARoot or DegreeBoundExceeded.  With --json,
+domain errors are reported as a machine-readable object
+{"error": {"code": ..., "message": ...}} on stdout.  All output is
+deterministic: identical command lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import HyperfieldError, PolynomialParseError
 from .fields import SIGN, TROPICAL, field_by_name
 from .morphisms import check_pushforward_lemma, nonuniqueness_witness
 from .parsing import format_polynomial, parse_element, parse_polynomial, poly_to_json_dict
-from .polynomials import in_product, is_root
+from .polynomials import DEFAULT_DEGREE_BOUND, in_product, is_root
 from .signs import (
     all_factorizations_sign,
     all_quotients_sign,
@@ -171,10 +171,15 @@ def cmd_newton(args, out):
         raise _UsageError("newton supports --field tropical only")
     p = _poly(args, field)
     polygon = newton_polygon(p)
-    out.write(_dump(polygon.to_json_dict()) + "\n")
+    # the file comes first, so that a path that cannot be written leaves
+    # no partial result on stdout
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_newton_svg(p, polygon))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_newton_svg(p, polygon))
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.svg}: {exc.strerror or exc}") from None
+    out.write(_dump(polygon.to_json_dict()) + "\n")
     return 0
 
 
@@ -278,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", choices=("tropical", "sign"), default="sign",
                         help="coefficient hyperfield (default: sign)")
     common.add_argument("--json", action="store_true", help="JSON output")
-    common.add_argument("--max-degree", type=int, default=12,
-                        help="bound for exhaustive enumerations (default: 12)")
+    common.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_BOUND,
+                        help="bound for exhaustive enumerations "
+                             f"(default: {DEFAULT_DEGREE_BOUND})")
 
     sp = sub.add_parser("roots", parents=[common], help="roots with multiplicities")
     sp.add_argument("--poly", required=True)

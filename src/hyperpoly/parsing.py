@@ -32,6 +32,10 @@ __all__ = [
     "parse_element",
 ]
 
+# the largest k accepted in a monomial T^k; the parser builds a tuple of
+# length k + 1, so this bounds the allocation a short text can request
+MAX_EXPONENT = 10_000
+
 
 def parse_element(text: str, field, column=None):
     try:
@@ -46,7 +50,12 @@ def _monomial_exponent(text: str, column: int) -> int:
     m = re.fullmatch(r"T\^(\d+)", text)
     if not m:
         raise PolynomialParseError(f"bad monomial {text!r}", column)
-    return int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    # compare lengths first: int() refuses very long digit strings
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise PolynomialParseError(
+            f"exponent in {text[:20]!r} exceeds the limit {MAX_EXPONENT}", column)
+    return int(digits)
 
 
 def _build(field, terms, text):

@@ -46,12 +46,13 @@ __all__ = [
     "pushforward",
     "divides_linearly",
     "poly_sort_key",
-    "DEFAULT_ENUMERATION_BOUND",
+    "DEFAULT_DEGREE_BOUND",
 ]
 
 NEG_INF = float("-inf")
 
-DEFAULT_ENUMERATION_BOUND = 12
+# the default max_degree of every bounded sign operation and of the CLI
+DEFAULT_DEGREE_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,7 @@ def _tropical_anchor_pool(r: Polynomial, fs):
 
 
 def enumerate_product(factors: Sequence[Polynomial],
-                      max_degree: int = DEFAULT_ENUMERATION_BOUND) -> list:
+                      max_degree: int = DEFAULT_DEGREE_BOUND) -> list:
     """The exact left-nested product set over the sign field, sorted."""
     fs = list(factors)
     if not fs:

@@ -1,20 +1,29 @@
-"""Division, irreducibility and factorization search for sign polynomials.
+"""Division, multiplicity, irreducibility and factorization search for
+sign polynomials.
 
-Everything here is desk-scale exact computation over {-1, 0, 1}:
-division by a linear term runs a four-case recursion keyed to the
-lowest nonzero coefficient and the first sign flip, and the remaining
-operations are exhaustive sweeps over coefficient vectors, bounded by
-``max_degree`` (default 12, beyond which they refuse to run).
+Everything here is exact computation over {-1, 0, 1}.  Three operations
+are closed forms from the source paper and run in O(n):
+
+* division by a linear term runs a four-case recursion keyed to the
+  lowest nonzero coefficient and the first sign flip;
+* root multiplicity is Descartes' rule of signs: the multiplicity of 1
+  is the number of sign changes in the nonzero coefficients, that of -1
+  the same count for p(-T), and that of 0 the lowest nonzero index;
+* the monic irreducibles are exactly T, T-1, T+1 and T^2+1, so p is
+  irreducible iff it has degree 1, or degree 2 and no root.
+
+Two operations are exhaustive enumerations: the quotient set of a
+linear division and the factorization search.  Every public operation
+with a ``max_degree`` argument refuses degrees above it (default
+``DEFAULT_DEGREE_BOUND`` = 12) with ``DegreeBoundExceeded``; the closed
+forms keep that check so that their errors match the enumerations'.
+The brute-force definitions of multiplicity and irreducibility live in
+the tests as oracles for the closed forms.
 
 Unique factorization fails over the sign field, so factorizations are
 reported as multisets of monic irreducibles together with a witness
 arrangement: the n-fold product depends on the nesting, and a multiset
 counts as soon as one bracketing of one ordering contains the target.
-
-Root multiplicity is computed by the recursive rule "one plus the
-largest multiplicity among all quotients"; this follows the standard
-notion for roots over hyperfields and is not derivable from the
-division algorithm alone.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .errors import (
 from .fields import SIGN
 from .parsing import format_polynomial
 from .polynomials import (
+    DEFAULT_DEGREE_BOUND,
     Polynomial,
     _product_rows,
     is_root,
@@ -49,8 +59,6 @@ __all__ = [
     "all_factorizations_sign",
     "multiplicity_sign",
 ]
-
-DEFAULT_DEGREE_BOUND = 12
 
 # the complete list of monic irreducible sign polynomials
 MONIC_IRREDUCIBLES = (
@@ -154,42 +162,24 @@ def all_quotients_sign(p: Polynomial, a: int,
 
 def is_irreducible_sign(p: Polynomial,
                         max_degree: int = DEFAULT_DEGREE_BOUND) -> bool:
-    """Brute force over all two-factor splits into positive degrees."""
+    """True iff p is a unit multiple of T, T-1, T+1 or T^2+1.
+
+    By the classification of sign irreducibles this means degree 1, or
+    degree 2 with no root in {-1, 0, 1}.
+    """
     if p.is_zero or p.degree < 1:
         raise ConstantPolynomialError("irreducibility needs degree >= 1")
-    n = p.degree
-    _check_bound(n, max_degree)
-    rows_target = p.coeffs
-    for d1 in range(1, n // 2 + 1):
-        d2 = n - d1
-        # q1 can be taken monic: p in q1*q2 iff p in (-q1)*(-q2)
-        for c1 in iter_product((-1, 0, 1), repeat=d1):
-            q1 = Polynomial(SIGN, c1 + (1,))
-            for c2 in iter_product((-1, 0, 1), repeat=d2):
-                for lead in (1, -1):
-                    q2 = Polynomial(SIGN, c2 + (lead,))
-                    if _box_contains(rows_target, q1, q2):
-                        return False
-    return True
-
-
-def _box_contains(target_coeffs, q1, q2):
-    rows = _product_rows(q1, q2)
-    if len(rows) != len(target_coeffs):
-        return False
-    return all(target_coeffs[i] in rows[i] for i in range(len(rows)))
+    _check_bound(p.degree, max_degree)
+    return p.degree == 1 or (p.degree == 2 and not any(is_root(p, a) for a in (-1, 0, 1)))
 
 
 def classify_irreducibles(max_degree: int,
                           hard_cap: int = DEFAULT_DEGREE_BOUND) -> list:
-    """All monic irreducible sign polynomials of degree <= max_degree."""
+    """All monic irreducible sign polynomials of degree <= max_degree,
+    ordered by degree and then by coefficient array."""
     _check_bound(max_degree, hard_cap)
-    found = []
-    for n in range(1, max_degree + 1):
-        for cs in iter_product((-1, 0, 1), repeat=n):
-            p = Polynomial(SIGN, cs + (1,))
-            if is_irreducible_sign(p, max_degree=hard_cap):
-                found.append(p)
+    found = [q for q in MONIC_IRREDUCIBLES if q.degree <= max_degree]
+    found.sort(key=lambda q: (q.degree, poly_sort_key(q)))
     return found
 
 
@@ -295,25 +285,18 @@ def _submultisets(counts):
 
 def multiplicity_sign(p: Polynomial, a: int,
                       max_degree: int = DEFAULT_DEGREE_BOUND) -> int:
-    """Root multiplicity: 0 for a non-root, else one plus the largest
-    multiplicity of a over all quotients by T - a."""
+    """Root multiplicity by Descartes' rule of signs (0 for a non-root).
+
+    The multiplicity of 0 is the lowest nonzero index, that of 1 the
+    number of sign changes in the nonzero coefficients, and that of -1
+    the same count for p(-T).  This equals the recursive definition "one
+    plus the largest multiplicity among all quotients by T - a".
+    """
     _check_sign_value(a)
     if p.is_zero:
         raise ConstantPolynomialError("multiplicity of the zero polynomial is undefined")
     _check_bound(p.degree if p.degree >= 1 else 0, max_degree)
-    memo = {}
-
-    def rec(poly):
-        key = poly.coeffs
-        if key in memo:
-            return memo[key]
-        if poly.degree < 1 or not is_root(poly, a):
-            memo[key] = 0
-            return 0
-        best = 0
-        for q in all_quotients_sign(poly, a, max_degree=max_degree):
-            best = max(best, rec(q))
-        memo[key] = 1 + best
-        return memo[key]
-
-    return rec(p)
+    if a == 0:
+        return next(i for i, c in enumerate(p.coeffs) if c != 0)
+    signs = [c for c in (p.reflect() if a == -1 else p).coeffs if c != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)

@@ -5,10 +5,20 @@ the sign hyperaddition as a literal 3x3 table folded over subsets, raw
 cartesian enumeration of product members and quotients, and the lower
 convex hull evaluated as a minimum over chords.  None of it shares code
 with the library paths it checks.
+
+The exceptions are the sign multiplicity and irreducibility oracles,
+which the library computes by closed forms (Descartes' rule of signs
+and the classification of irreducibles).  They are the recursive and
+split-search definitions, built on the library's ``is_root``,
+``all_quotients_sign`` and ``_product_rows``; the tests check each of
+those against the raw enumerations here.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
+
+from hyperpoly import SIGN, Polynomial, all_quotients_sign, is_root
+from hyperpoly.polynomials import _product_rows
 
 # the binary sign hyperaddition, written out
 SIGN_TABLE = {
@@ -77,6 +87,41 @@ def raw_sign_roots(c):
         if 0 in table_hyperadd(terms):
             roots.append(a)
     return roots
+
+
+def brute_multiplicity_sign(p, a):
+    """Root multiplicity by its definition: 0 for a non-root, else one
+    plus the largest multiplicity of a over all quotients by T - a."""
+    memo = {}
+
+    def rec(poly):
+        key = poly.coeffs
+        if key not in memo:
+            if poly.degree < 1 or not is_root(poly, a):
+                memo[key] = 0
+            else:
+                memo[key] = 1 + max((rec(q) for q in all_quotients_sign(poly, a)),
+                                     default=0)
+        return memo[key]
+
+    return rec(p)
+
+
+def brute_is_irreducible_sign(p):
+    """False iff p lies in q1 * q2 for some q1, q2 of positive degree,
+    searched over every split of the degree (q1 monic, q2 of either
+    leading sign)."""
+    n = p.degree
+    for d1 in range(1, n // 2 + 1):
+        # q1 can be taken monic: p in q1*q2 iff p in (-q1)*(-q2)
+        for c1 in iter_product((-1, 0, 1), repeat=d1):
+            q1 = Polynomial(SIGN, c1 + (1,))
+            for c2 in iter_product((-1, 0, 1), repeat=n - d1):
+                for lead in (1, -1):
+                    rows = _product_rows(q1, Polynomial(SIGN, c2 + (lead,)))
+                    if all(c in row for c, row in zip(p.coeffs, rows)):
+                        return False
+    return True
 
 
 def hull_values(points):

@@ -36,6 +36,8 @@ from hyperpoly import (
     trop_poly,
 )
 
+from oracles import brute_is_irreducible_sign
+
 L = TropValue.log
 Z = TropValue.zero()
 
@@ -176,6 +178,11 @@ def test_criterion_5_irreducible_classification():
         for n in (3, 4):
             for p in _all_sign_polys(n):
                 assert not is_irreducible_sign(p), str(p)
+        # the split-search definition over every monic polynomial of
+        # degree <= 4, in the order of degree and coefficient array
+        monic = [Polynomial(SIGN, lower + (1,))
+                 for n in range(1, 5) for lower in iter_product((-1, 0, 1), repeat=n)]
+        assert got == [p for p in monic if brute_is_irreducible_sign(p)]
 
 
 def test_criterion_6_nonunique_factorization():
@@ -238,6 +245,7 @@ def test_criterion_9_quadratic_cubic_criterion():
             for p in _all_sign_polys(n):
                 rootless = not any(is_root(p, a) for a in (-1, 0, 1))
                 assert is_irreducible_sign(p) == rootless, str(p)
+                assert brute_is_irreducible_sign(p) == rootless, str(p)
         rng = random.Random(9)
         for _ in range(200):
             coeffs = (L(Fraction(rng.randint(-12, 12), rng.randint(1, 6))),

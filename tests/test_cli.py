@@ -44,6 +44,16 @@ def test_newton_json_and_svg(tmp_path):
     assert "polyline" in content
 
 
+def test_newton_svg_to_missing_directory(tmp_path):
+    svg = tmp_path / "missing" / "polygon.svg"
+    r = run_cli("newton", "--field", "tropical", "--poly", "[1,0,1,0]", "--svg", str(svg))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert not svg.exists()
+
+
 def test_newton_with_zero_coefficients():
     r = run_cli("newton", "--field", "tropical", "--poly", "[zero, zero, 0]")
     assert r.returncode == 0

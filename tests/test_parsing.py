@@ -1,6 +1,7 @@
 """Round trips and error reporting for the text and JSON syntaxes."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,18 @@ def test_syntax_errors():
         parse_polynomial("T+T", SIGN)  # duplicate exponent
     with pytest.raises(PolynomialParseError):
         parse_polynomial("1:S^2", TROPICAL)
+
+
+def test_huge_exponent_rejected_quickly():
+    for text, field in (("T^1000000000", SIGN), ("T^1000000000+1", SIGN),
+                        ("T^1000000000", TROPICAL), ("0:T^1000000000+1", TROPICAL),
+                        ("T^" + "9" * 5000, SIGN), ("T^" + "9" * 5000, TROPICAL)):
+        start = time.perf_counter()
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(text, field)
+        assert time.perf_counter() - start < 0.1, text[:20]
+    assert parse_polynomial("T^10000", SIGN).degree == 10000
+    assert parse_polynomial("T^010", SIGN) == parse_polynomial("T^10", SIGN)
 
 
 def test_format_canonical():

@@ -23,7 +23,7 @@ from hyperpoly import (
     sign_poly,
 )
 
-from oracles import raw_sign_quotients
+from oracles import brute_is_irreducible_sign, brute_multiplicity_sign, raw_sign_quotients
 
 T = sign_poly([0, 1])
 T_PLUS = sign_poly([1, 1])
@@ -85,6 +85,10 @@ def test_all_quotients_bound():
         classify_irreducibles(13)
     with pytest.raises(DegreeBoundExceeded):
         all_factorizations_sign(Polynomial(SIGN, (1,) * 14))
+    with pytest.raises(DegreeBoundExceeded):
+        multiplicity_sign(Polynomial(SIGN, (1,) * 14), -1)
+    with pytest.raises(DegreeBoundExceeded):
+        is_irreducible_sign(Polynomial(SIGN, (1,) * 14))
 
 
 def test_division_sweep_small():
@@ -113,11 +117,19 @@ def test_irreducible_examples():
     assert is_irreducible_sign(sign_poly([-1, 0, -1]))  # unit multiple of T^2+1
 
 
+def test_irreducible_against_split_search_oracle():
+    for n in range(1, 6):
+        for p in _all_polys(n):
+            assert is_irreducible_sign(p) == brute_is_irreducible_sign(p), str(p)
+
+
 def test_classification():
     assert set(classify_irreducibles(1)) == {T, T_MINUS, T_PLUS}
     assert set(classify_irreducibles(2)) == {T, T_MINUS, T_PLUS, T2_PLUS}
     assert set(classify_irreducibles(4)) == {T, T_MINUS, T_PLUS, T2_PLUS}
     assert tuple(MONIC_IRREDUCIBLES) == (T, T_MINUS, T_PLUS, T2_PLUS)
+    assert classify_irreducibles(4) == [T_MINUS, T, T_PLUS, T2_PLUS]
+    assert classify_irreducibles(0) == []
 
 
 def test_quadratic_cubic_criterion_exhaustive():
@@ -190,3 +202,23 @@ def test_multiplicity_examples():
 def test_multiplicity_counts_repeated_factors():
     # (T+1)^2 squared pattern: T^2+T+1 has -1 with multiplicity 2
     assert multiplicity_sign(sign_poly([1, 1, 1]), -1) == 2
+
+
+def test_multiplicity_against_recursive_oracle():
+    for n in range(0, 7):
+        for p in _all_polys(n):
+            for a in (-1, 0, 1):
+                assert multiplicity_sign(p, a) == brute_multiplicity_sign(p, a), (str(p), a)
+
+
+def test_closed_forms_keep_bound_and_errors():
+    # the closed forms need no bound, but refuse what the enumerations refuse
+    big = Polynomial(SIGN, (1,) * 14)
+    assert multiplicity_sign(big, -1, max_degree=13) == 13
+    assert is_irreducible_sign(big, max_degree=13) is False
+    with pytest.raises(ConstantPolynomialError):
+        multiplicity_sign(sign_poly([]), 1)
+    with pytest.raises(ConstantPolynomialError):
+        is_irreducible_sign(sign_poly([1]))
+    with pytest.raises(ValueError):
+        multiplicity_sign(T_MINUS, 2)
