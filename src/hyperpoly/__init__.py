@@ -52,7 +52,6 @@ from .polynomials import (
     NEG_INF,
     Polynomial,
     associated,
-    degree,
     divides_linearly,
     enumerate_product,
     in_product,

@@ -271,6 +271,17 @@ _COMMANDS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type: a count or bound, rejected at parse time when negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperpoly",
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", choices=("tropical", "sign"), default="sign",
                         help="coefficient hyperfield (default: sign)")
     common.add_argument("--json", action="store_true", help="JSON output")
-    common.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_BOUND,
+    common.add_argument("--max-degree", type=_nonnegative_int, default=DEFAULT_DEGREE_BOUND,
                         help="bound for exhaustive enumerations "
                              f"(default: {DEFAULT_DEGREE_BOUND})")
 
@@ -325,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", parents=[common],
                         help="run the built-in verification suites")
-    sp.add_argument("--trials", type=int, default=100,
+    sp.add_argument("--trials", type=_nonnegative_int, default=100,
                     help="pushforward trials per morphism (default: 100)")
     sp.add_argument("--seed", type=int, default=0)
 

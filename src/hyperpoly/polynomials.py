@@ -36,7 +36,6 @@ __all__ = [
     "Polynomial",
     "sign_poly",
     "trop_poly",
-    "degree",
     "product_coefficient_sets",
     "in_product",
     "enumerate_product",
@@ -119,10 +118,6 @@ def trop_poly(coeffs: Iterable) -> Polynomial:
     """Build a tropical polynomial; entries go through ``TropValue.coerce``
     (ints/Fractions/"p/q" are log coordinates, None and "zero" are the zero)."""
     return Polynomial(TROPICAL, tuple(TropValue.coerce(c) for c in coeffs))
-
-
-def degree(p: Polynomial):
-    return p.degree
 
 
 def poly_sort_key(p: Polynomial):
@@ -371,6 +366,15 @@ def _tropical_anchor_pool(r: Polynomial, fs):
 # exhaustive product enumeration over the sign field
 
 
+def _product_members(c: tuple, d: tuple):
+    """The members of the two-factor sign product of coefficient tuples c
+    and d with a nonzero lead, in the order of the sorted rows."""
+    rows = _product_rows(Polynomial(SIGN, c), Polynomial(SIGN, d))
+    for combo in iter_product(*(sorted(row) for row in rows)):
+        if combo[-1] != 0:
+            yield combo
+
+
 def enumerate_product(factors: Sequence[Polynomial],
                       max_degree: int = DEFAULT_DEGREE_BOUND) -> list:
     """The exact left-nested product set over the sign field, sorted."""
@@ -386,13 +390,7 @@ def enumerate_product(factors: Sequence[Polynomial],
             f"total degree {total} exceeds the enumeration bound {max_degree}")
     current = {fs[0].coeffs}
     for q in fs[1:]:
-        nxt = set()
-        for cs in current:
-            rows = _product_rows(Polynomial(SIGN, cs), q)
-            for combo in iter_product(*(sorted(row) for row in rows)):
-                if combo[-1] != 0:
-                    nxt.add(combo)
-        current = nxt
+        current = {m for cs in current for m in _product_members(cs, q.coeffs)}
     polys = [Polynomial(SIGN, cs) for cs in current]
     polys.sort(key=poly_sort_key)
     return polys

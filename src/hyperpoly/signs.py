@@ -24,12 +24,19 @@ Unique factorization fails over the sign field, so factorizations are
 reported as multisets of monic irreducibles together with a witness
 arrangement: the n-fold product depends on the nesting, and a multiset
 counts as soon as one bracketing of one ordering contains the target.
+The product set of a multiset, over all its arrangements, depends only
+on the multiset and never on the target.  It is built once per process
+from the same two-factor step as ``enumerate_product`` and kept for the
+life of the process.  The degree bound is checked first, so the table
+holds no multiset above the largest degree that passed that check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iter_product
+from types import MappingProxyType
 
 from .errors import (
     ConstantPolynomialError,
@@ -42,7 +49,7 @@ from .parsing import format_polynomial
 from .polynomials import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
-    _product_rows,
+    _product_members,
     is_root,
     poly_sort_key,
     sign_poly,
@@ -216,42 +223,15 @@ def all_factorizations_sign(p: Polynomial,
     unit = p.lead
     target = p.scale(unit).coeffs  # unit^2 = 1, so this is the monic associate
 
-    basis = MONIC_IRREDUCIBLES
-    memo = {}
-
-    def product_sets(counts):
-        """Map coefficient tuple -> witness string over all arrangements."""
-        if counts in memo:
-            return memo[counts]
-        total = sum(counts)
-        if total == 1:
-            q = basis[counts.index(1)]
-            result = {q.coeffs: format_polynomial(q)}
-            memo[counts] = result
-            return result
-        result = {}
-        for sub in _submultisets(counts):
-            rest = tuple(c - s for c, s in zip(counts, sub))
-            if sub > rest:  # unordered split, visit each pair once
-                continue
-            left = product_sets(sub)
-            right = product_sets(rest)
-            for ca, wa in left.items():
-                pa = Polynomial(SIGN, ca)
-                for cb, wb in right.items():
-                    rows = _product_rows(pa, Polynomial(SIGN, cb))
-                    for combo in iter_product(*(sorted(r) for r in rows)):
-                        if combo[-1] != 0 and combo not in result:
-                            result[combo] = f"({wa} * {wb})"
-        memo[counts] = result
-        return result
-
+    degrees = [q.degree for q in MONIC_IRREDUCIBLES]
     found = []
-    for counts in _degree_partitions(n):
-        reachable = product_sets(counts)
+    for counts in iter_product(*(range(n // d + 1) for d in degrees)):
+        if sum(c * d for c, d in zip(counts, degrees)) != n:
+            continue
+        reachable = _reachable(counts)
         if target in reachable:
             factors = []
-            for q, count in zip(basis, counts):
+            for q, count in zip(MONIC_IRREDUCIBLES, counts):
                 factors.extend([q] * count)
             factors.sort(key=poly_sort_key)
             found.append(Factorization(tuple(factors), unit, reachable[target]))
@@ -259,28 +239,30 @@ def all_factorizations_sign(p: Polynomial,
     return found
 
 
-def _degree_partitions(n):
-    """Count vectors over MONIC_IRREDUCIBLES with total degree n."""
-    degrees = [q.degree for q in MONIC_IRREDUCIBLES]
-    out = []
+@cache
+def _reachable(counts: tuple) -> MappingProxyType:
+    """The product set of the multiset with these counts over
+    MONIC_IRREDUCIBLES, over every bracketing of every ordering, as a map
+    from each member's coefficient tuple to the first arrangement found.
 
-    def rec(idx, remaining, acc):
-        if idx == len(degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for count in range(remaining // degrees[idx] + 1):
-            rec(idx + 1, remaining - count * degrees[idx], acc + [count])
-
-    rec(0, n, [])
-    return out
-
-
-def _submultisets(counts):
-    ranges = [range(c + 1) for c in counts]
-    for sub in iter_product(*ranges):
-        if any(sub) and sub != counts:
-            yield sub
+    The set depends only on the multiset, so it is computed once per
+    process and shared read-only by every caller.
+    """
+    if sum(counts) == 1:
+        q = MONIC_IRREDUCIBLES[counts.index(1)]
+        return MappingProxyType({q.coeffs: format_polynomial(q)})
+    result = {}
+    for sub in iter_product(*(range(c + 1) for c in counts)):
+        rest = tuple(c - s for c, s in zip(counts, sub))
+        if not any(sub) or sub > rest:  # unordered split, visit each pair once
+            continue
+        right = _reachable(rest)
+        for ca, wa in _reachable(sub).items():
+            for cb, wb in right.items():
+                witness = f"({wa} * {wb})"
+                for combo in _product_members(ca, cb):
+                    result.setdefault(combo, witness)
+    return MappingProxyType(result)
 
 
 def multiplicity_sign(p: Polynomial, a: int,

@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb and written from the definitions:
 the sign hyperaddition as a literal 3x3 table folded over subsets, raw
-cartesian enumeration of product members and quotients, and the lower
+cartesian enumeration of product members and quotients, factorizations
+as products over every bracketing of every ordering, and the lower
 convex hull evaluated as a minimum over chords.  None of it shares code
 with the library paths it checks.
 
@@ -15,6 +16,8 @@ those against the raw enumerations here.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 
 from hyperpoly import SIGN, Polynomial, all_quotients_sign, is_root
@@ -60,6 +63,67 @@ def raw_sign_product_members(c, d):
     """All members of the product as coefficient tuples."""
     rows = raw_sign_product_rows(c, d)
     return {combo for combo in iter_product(*rows) if combo[-1] != 0}
+
+
+# the monic irreducible sign polynomials, by their printed names
+SIGN_IRREDUCIBLES = {"T": (0, 1), "T-1": (-1, 1), "T+1": (1, 1), "T^2+1": (1, 0, 1)}
+
+
+@cache
+def _bracketed_members(seq):
+    """Members of the product of the factor tuples in ``seq``, in that
+    order, over every bracketing."""
+    if len(seq) == 1:
+        return frozenset(seq)
+    out = set()
+    for i in range(1, len(seq)):
+        for a in _bracketed_members(seq[:i]):
+            for b in _bracketed_members(seq[i:]):
+                out |= raw_sign_product_members(a, b)
+    return frozenset(out)
+
+
+def brute_factorizations_sign(c):
+    """The unit of the sign coefficient tuple ``c`` and the multisets of
+    monic irreducibles (sorted tuples of names) whose product, over some
+    bracketing of some ordering, contains the monic associate of ``c``."""
+    unit = c[-1]
+    target = tuple(unit * x for x in c)
+    n = len(c) - 1
+    found = set()
+    for size in range(1, n + 1):
+        for names in combinations_with_replacement(sorted(SIGN_IRREDUCIBLES), size):
+            factors = [SIGN_IRREDUCIBLES[x] for x in names]
+            if sum(len(q) - 1 for q in factors) != n:
+                continue
+            if any(target in _bracketed_members(order) for order in set(permutations(factors))):
+                found.add(names)
+    return unit, found
+
+
+def raw_nesting_members(text):
+    """Members of the bracketed product written as a witness string such
+    as ``((T+1 * T+1) * (T-1 * T-1))``, and the names of its leaves."""
+
+    def parse(i):
+        if text[i] == "(":
+            left, left_names, i = parse(i + 1)
+            assert text.startswith(" * ", i), text
+            right, right_names, i = parse(i + 3)
+            assert text[i] == ")", text
+            members = set()
+            for a in left:
+                for b in right:
+                    members |= raw_sign_product_members(a, b)
+            return members, left_names + right_names, i + 1
+        j = i
+        while j < len(text) and text[j] not in " )":
+            j += 1
+        return {SIGN_IRREDUCIBLES[text[i:j]]}, [text[i:j]], j
+
+    members, names, end = parse(0)
+    assert end == len(text), text
+    return members, names
 
 
 def raw_sign_quotients(c, a):

@@ -100,6 +100,29 @@ def test_factorizations_json():
     assert all(set(rec) == {"factors", "unit", "witness_nesting"} for rec in data)
 
 
+def test_factorizations_text_golden():
+    # the witness strings are part of the output; these are pinned
+    expected = {
+        "T^3+T^2+T+1": (
+            "unit 1; factors {T^2+1, T+1}; witness (T^2+1 * T+1)\n"
+            "unit 1; factors {T-1, T-1, T+1}; witness (T+1 * (T-1 * T-1))\n"
+            "unit 1; factors {T+1, T+1, T+1}; witness (T+1 * (T+1 * T+1))\n"),
+        "T^4+1": (
+            "unit 1; factors {T-1, T-1, T+1, T+1}; witness ((T+1 * T+1) * (T-1 * T-1))\n"),
+        "T^5-T^4+T-1": (
+            "unit 1; factors {T-1, T^2+1, T+1, T+1}; "
+            "witness ((T+1 * T+1) * (T^2+1 * T-1))\n"
+            "unit 1; factors {T-1, T-1, T-1, T+1, T+1}; "
+            "witness ((T+1 * T+1) * (T-1 * (T-1 * T-1)))\n"
+            "unit 1; factors {T-1, T+1, T+1, T+1, T+1}; "
+            "witness ((T+1 * T+1) * ((T+1 * T+1) * T-1))\n"),
+    }
+    for poly, text in expected.items():
+        r = run_cli("factorizations", "--field", "sign", "--poly", poly)
+        assert r.returncode == 0
+        assert r.stdout == text, poly
+
+
 def test_multiplicity():
     r = run_cli("multiplicity", "--field", "sign", "--poly", "T^3+T^2+T+1", "--root", "-1")
     assert r.stdout == "3\n"
@@ -114,6 +137,17 @@ def test_usage_errors_exit_2():
                    "--root", "0").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("divide", "--field", "sign", "--poly", "T^2-1").returncode == 2
+
+
+def test_negative_bounds_rejected_at_parse_time():
+    r = run_cli("quotients", "--poly", "T^3-1", "--root", "1", "--max-degree", "-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "--max-degree" in r.stderr
+    r = run_cli("selftest", "--trials", "-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "--trials" in r.stderr
 
 
 def test_domain_errors_exit_3():

@@ -16,7 +16,6 @@ from hyperpoly import (
     TropValue,
     ZeroOperandError,
     associated,
-    degree,
     divides_linearly,
     enumerate_product,
     in_product,
@@ -37,11 +36,11 @@ L = TropValue.log
 
 
 def test_degree():
-    assert degree(sign_poly([1, 1, 1, 1])) == 3
-    assert degree(sign_poly([1])) == 0
-    assert degree(sign_poly([])) == NEG_INF
-    assert degree(sign_poly([1, 1, 0, 0])) == 1  # trailing zeros trimmed
-    assert degree(trop_poly([None, None, 0])) == 2
+    assert sign_poly([1, 1, 1, 1]).degree == 3
+    assert sign_poly([1]).degree == 0
+    assert sign_poly([]).degree == NEG_INF
+    assert sign_poly([1, 1, 0, 0]).degree == 1  # trailing zeros trimmed
+    assert trop_poly([None, None, 0]).degree == 2
 
 
 def test_zero_polynomial_distinguished():

@@ -23,7 +23,13 @@ from hyperpoly import (
     sign_poly,
 )
 
-from oracles import brute_is_irreducible_sign, brute_multiplicity_sign, raw_sign_quotients
+from oracles import (
+    brute_factorizations_sign,
+    brute_is_irreducible_sign,
+    brute_multiplicity_sign,
+    raw_nesting_members,
+    raw_sign_quotients,
+)
 
 T = sign_poly([0, 1])
 T_PLUS = sign_poly([1, 1])
@@ -171,6 +177,28 @@ def test_unique_factorization_holds_up_to_degree_two():
 
 def test_unique_factorization_fails_at_degree_three():
     assert len(all_factorizations_sign(CUBIC)) == 3
+
+
+def test_factorizations_against_bracketing_oracle():
+    # every sign polynomial of degree <= 5, both leading signs: the same
+    # multisets and unit as the oracle, and each witness re-evaluated
+    # from its own bracketing contains the monic associate
+    for n in range(1, 6):
+        for p in _all_polys(n):
+            unit, multisets = brute_factorizations_sign(p.coeffs)
+            found = all_factorizations_sign(p)
+            assert {tuple(sorted(str(q) for q in f.factors)) for f in found} == multisets, str(p)
+            assert len(found) == len(multisets)
+            monic = tuple(unit * c for c in p.coeffs)
+            for f in found:
+                assert f.unit == unit
+                members, names = raw_nesting_members(f.witness_nesting)
+                assert sorted(names) == sorted(str(q) for q in f.factors)
+                assert monic in members, (str(p), f.witness_nesting)
+    # T^4+1 factors only under a bracketing that is not left-nested
+    assert brute_factorizations_sign((1, 0, 0, 0, 1)) == (1, {("T+1", "T+1", "T-1", "T-1")})
+    found = all_factorizations_sign(sign_poly([1, 0, 0, 0, 1]))
+    assert [tuple(map(str, f.factors)) for f in found] == [("T-1", "T-1", "T+1", "T+1")]
 
 
 def test_irreducible_member_has_associated_factor():
