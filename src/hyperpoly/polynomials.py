@@ -202,17 +202,23 @@ def divides_linearly(p: Polynomial, a, q: Polynomial) -> bool:
     n = p.degree
     if q.field is not f or q.is_zero or p.is_zero or q.degree != n - 1:
         return False
-    c, d = p.coeffs, q.coeffs
+    c, d = p.coeffs, (None,) + q.coeffs + (None,)
     na = f.neg(a)
-    if c[n] != d[n - 1]:
-        return False
-    if c[0] != f.mul(na, d[0]):
-        return False
-    for i in range(1, n):
-        row = f.hyperadd([f.mul(na, d[i]), d[i - 1]])
-        if not f.subset_contains(row, c[i]):
-            return False
-    return True
+    return all(_linear_relation(f, na, c[i], d[i], d[i + 1]) for i in range(n + 1))
+
+
+def _linear_relation(f, na, c_i, d_prev, d_i) -> bool:
+    """Relation i of p in (T - a) * q: c_i lies in (-a)d_i + d_{i-1}.
+
+    It involves only d_{i-1} and d_i.  At the ends one of them is out of
+    range and passed as None, and the relation is the equality
+    c_0 = (-a)d_0 or c_n = d_{n-1}.
+    """
+    if d_prev is None:
+        return c_i == f.mul(na, d_i)
+    if d_i is None:
+        return c_i == d_prev
+    return f.subset_contains(f.hyperadd([f.mul(na, d_i), d_prev]), c_i)
 
 
 # ---------------------------------------------------------------------------

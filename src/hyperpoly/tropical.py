@@ -13,18 +13,20 @@ coefficients above the divided root locus descend from the leading one,
 the coefficients below climb from the constant one, and the locus
 itself is filled with explicit suffix products of the roots.  The
 result is the coefficientwise-maximal polynomial q with p in (T+a)*q;
-the quotient is unique exactly when all roots are simple.
+the quotient is unique exactly when all roots are simple.  Membership
+p in (T+a)*q is a chain of coefficient relations, and relation i
+involves only d_{i-1} and d_i, so other quotients near the maximal one
+are searched position by position, pruning at the first failed relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
 
 from .errors import ConstantPolynomialError, InternalInvariantError, NotARootError
 from .fields import TROPICAL, TropValue
-from .polynomials import Polynomial, divides_linearly, poly_sort_key
+from .polynomials import Polynomial, _linear_relation, divides_linearly, poly_sort_key
 
 __all__ = [
     "NewtonPolygon",
@@ -190,35 +192,33 @@ def is_quotient(p: Polynomial, a: TropValue, q: Polynomial) -> bool:
 def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed: int = 2) -> list:
     """Bounded search for valid quotients near the maximal one.
 
-    Perturbs up to ``max_changed`` coefficients of ``divide(p, a)`` to
-    lowered values (exponent minus each delta, and zero) and filters by
-    :func:`is_quotient`; the maximal quotient itself is always included.
-    Intended for exploring the quotient set at desk scale, not for
-    characterizing it.
+    Lowers up to ``max_changed`` coefficients of ``divide(p, a)`` (to the
+    exponent minus each delta, or to zero) and returns every such q with
+    p in (T + a) * q, sorted; the maximal quotient is always among them.
+    The walk checks relation i as soon as d_{i-1} and d_i are fixed and
+    drops a branch at its first failure.  For exploring the quotient set
+    at desk scale, not for characterizing it.
     """
-    top = divide(p, a)
-    found = {top}
-    coeffs = list(top.coeffs)
-    positions = range(len(coeffs))
-
-    def candidates(i):
-        c = coeffs[i]
-        out = []
-        if not c.is_zero:
-            out.extend(TropValue(c.exponent - Fraction(d)) for d in deltas)
-        out.append(TropValue.zero())
-        return out
-
-    for count in range(1, min(max_changed, len(coeffs)) + 1):
-        for idxs in combinations(positions, count):
-            pools = [candidates(i) for i in idxs]
-            for combo in iter_product(*pools):
-                trial = list(coeffs)
-                for i, v in zip(idxs, combo):
-                    trial[i] = v
-                cand = Polynomial(TROPICAL, tuple(trial))
-                if cand.degree == top.degree and is_quotient(p, a, cand):
-                    found.add(cand)
+    top = divide(p, a).coeffs
+    c, n = p.coeffs, len(top)
+    # the values other than top_i that position i may take, each once
+    lowered = [[] if t.is_zero else [v for v in dict.fromkeys(
+        TropValue(t.exponent - Fraction(d)) for d in deltas) if v != t] + [TropValue.zero()]
+        for t in top]
+    found = []
+    stack = [((), max_changed)]
+    while stack:
+        d, budget = stack.pop()
+        i = len(d)
+        if i == n:
+            if _linear_relation(TROPICAL, a, c[n], d[-1], None):
+                found.append(Polynomial(TROPICAL, d))
+            continue
+        prev = d[-1] if d else None
+        options = (top[i], *lowered[i]) if budget > 0 else (top[i],)
+        for j, v in enumerate(options):
+            if _linear_relation(TROPICAL, a, c[i], prev, v):
+                stack.append((d + (v,), budget - (j > 0)))
     return sorted(found, key=poly_sort_key)
 
 

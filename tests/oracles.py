@@ -12,15 +12,19 @@ which the library computes by closed forms (Descartes' rule of signs
 and the classification of irreducibles).  They are the recursive and
 split-search definitions, built on the library's ``is_root``,
 ``all_quotients_sign`` and ``_product_rows``; the tests check each of
-those against the raw enumerations here.
+those against the raw enumerations here.  The tropical quotient search
+oracle likewise perturbs ``divide``'s answer and keeps what the
+library's relation check ``is_quotient`` accepts; the tests check that
+check against the definition separately.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iter_product
 
-from hyperpoly import SIGN, Polynomial, all_quotients_sign, is_root
+from hyperpoly import (SIGN, TROPICAL, Polynomial, TropValue, all_quotients_sign, divide,
+                       is_quotient, is_root, poly_sort_key)
 from hyperpoly.polynomials import _product_rows
 
 # the binary sign hyperaddition, written out
@@ -233,3 +237,33 @@ def trop_member_raw(target_exp, term_exps):
     pool = list(term_exps) + [target_exp]
     top = max(pool, key=key)
     return sum(1 for e in pool if key(e) == key(top)) >= 2
+
+
+def brute_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
+    """``search_quotients`` by perturbing up to ``max_changed`` coefficients
+    of ``divide(p, a)`` in every combination and filtering each candidate
+    polynomial through ``is_quotient``."""
+    top = divide(p, a)
+    found = {top}
+    coeffs = list(top.coeffs)
+    positions = range(len(coeffs))
+
+    def candidates(i):
+        c = coeffs[i]
+        out = []
+        if not c.is_zero:
+            out.extend(TropValue(c.exponent - Fraction(d)) for d in deltas)
+        out.append(TropValue.zero())
+        return out
+
+    for count in range(1, min(max_changed, len(coeffs)) + 1):
+        for idxs in combinations(positions, count):
+            pools = [candidates(i) for i in idxs]
+            for combo in iter_product(*pools):
+                trial = list(coeffs)
+                for i, v in zip(idxs, combo):
+                    trial[i] = v
+                cand = Polynomial(TROPICAL, tuple(trial))
+                if cand.degree == top.degree and is_quotient(p, a, cand):
+                    found.add(cand)
+    return sorted(found, key=poly_sort_key)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -22,7 +23,7 @@ from hyperpoly import (
     trop_poly,
 )
 
-from oracles import hull_slopes
+from oracles import brute_search_quotients, hull_slopes
 
 L = TropValue.log
 Z = TropValue.zero()
@@ -208,6 +209,49 @@ def test_search_quotients_dominated_by_division_output():
     # the family T^2 + sT + 1 appears with lowered middle coefficients
     assert trop_poly([0, -2, 0]) in found
     assert trop_poly([0, None, 0]) in found
+
+
+def test_search_quotients_edge_budgets():
+    p = trop_poly([1, 0, 1, 0])
+    a = L(1)
+    top = divide(p, a)
+    for max_changed in (-1, 0):
+        assert search_quotients(p, a, max_changed=max_changed) == [top]
+    assert search_quotients(p, a, max_changed=4) == search_quotients(p, a, max_changed=3)
+    # a delta of 0 reproduces the coefficient and adds no duplicate
+    assert search_quotients(p, a, deltas=(0,)) == [trop_poly([0, None, 0]), top]
+    zero_root = trop_poly([None, 1, 0, 1, 0])
+    assert search_quotients(zero_root, Z) == [p]
+
+
+def test_search_quotients_matches_perturbation_oracle():
+    """The relation walk returns the oracle's list, order included."""
+    rng = random.Random(30)
+    seen = dict.fromkeys(("repeated root", "zero middle", "zero root", "several found"), 0)
+    for k in range(54):
+        n = 1 + k % 9
+        # small integer exponents make repeated roots common
+        coeffs = [Z if rng.random() < 0.2 else L(rng.randint(-3, 3)) for _ in range(n)]
+        if rng.random() < 0.25:
+            coeffs[0] = Z
+        p = Polynomial(TROPICAL, tuple(coeffs) + (L(rng.randint(-1, 1)),))
+        loci = roots_with_multiplicities(p)
+        seen["repeated root"] += any(l.multiplicity > 1 for l in loci)
+        seen["zero middle"] += any(c.is_zero for c in p.coeffs[1:])
+        seen["zero root"] += loci[0].root.is_zero
+        for locus in loci:
+            for deltas in ((1, 2), (Fraction(1, 2), 3), (0,)):
+                for max_changed in (-1, 0, 1, 2, 3, n + 1):
+                    # the oracle builds sum_k C(n, k) (len(deltas) + 1)^k candidates
+                    work = sum(comb(n, j) * (len(deltas) + 1) ** j
+                               for j in range(1, min(max_changed, n) + 1))
+                    if work > 800:
+                        continue
+                    got = search_quotients(p, locus.root, deltas=deltas, max_changed=max_changed)
+                    assert got == brute_search_quotients(
+                        p, locus.root, deltas=deltas, max_changed=max_changed), (p, locus.root)
+                    seen["several found"] += len(got) > 1
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_proof_inequalities():
