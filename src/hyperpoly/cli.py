@@ -28,7 +28,7 @@ from .signs import (
     is_irreducible_sign,
     multiplicity_sign,
 )
-from .tropical import divide, newton_polygon, render_newton_svg, roots_with_multiplicities
+from .tropical import divide, factor, newton_polygon, render_newton_svg, roots_with_multiplicities
 
 
 def _dump(obj) -> str:
@@ -39,137 +39,62 @@ class _UsageError(Exception):
     pass
 
 
-def _field(args):
-    return field_by_name(args.field)
+def _lines(polys) -> str:
+    return "".join(format_polynomial(q) + "\n" for q in polys)
 
 
-def _poly(args, field):
-    return parse_polynomial(args.poly, field)
+# Each polynomial command takes the parsed arguments, the field and the
+# parsed --poly, and returns (data, text): the --json value and the text
+# output, or None as the text when the command prints JSON only.
 
-
-def _root(args, field):
-    return parse_element(args.root, field)
-
-
-def cmd_roots(args, out):
-    field = _field(args)
-    p = _poly(args, field)
+def cmd_roots(args, field, p):
     if field is TROPICAL:
-        loci = roots_with_multiplicities(p)
         records = [{"root": str(l.root), "multiplicity": l.multiplicity, "start": l.start}
-                   for l in loci]
+                   for l in roots_with_multiplicities(p)]
     else:
         records = [{"root": a, "multiplicity": multiplicity_sign(p, a, max_degree=args.max_degree)}
                    for a in (-1, 0, 1) if is_root(p, a)]
-    if args.json:
-        out.write(_dump({"field": field.name, "poly": poly_to_json_dict(p)["coeffs"],
-                         "roots": records}) + "\n")
-    else:
-        if not records:
-            out.write("no roots\n")
-        for r in records:
-            out.write(f"root {r['root']} multiplicity {r['multiplicity']}\n")
-    return 0
+    data = {"field": field.name, "poly": poly_to_json_dict(p)["coeffs"], "roots": records}
+    text = "".join(f"root {r['root']} multiplicity {r['multiplicity']}\n" for r in records)
+    return data, text or "no roots\n"
 
 
-def cmd_factor(args, out):
-    field = _field(args)
-    if field is not TROPICAL:
-        raise _UsageError("factor supports --field tropical only; every tropical "
-                          "polynomial splits into linear factors (use 'factorizations' "
-                          "for the sign field)")
-    from .tropical import factor as trop_factor
-
-    p = _poly(args, field)
-    unit, factors = trop_factor(p)
-    if args.json:
-        out.write(_dump({
-            "unit": str(unit),
-            "factors": [poly_to_json_dict(q)["coeffs"] for q in factors],
-        }) + "\n")
-    else:
-        out.write(f"unit {unit}\n")
-        for q in factors:
-            out.write(format_polynomial(q) + "\n")
-    return 0
+def cmd_factor(args, field, p):
+    unit, factors = factor(p)
+    data = {"unit": str(unit), "factors": [poly_to_json_dict(q)["coeffs"] for q in factors]}
+    return data, f"unit {unit}\n" + _lines(factors)
 
 
-def cmd_divide(args, out):
-    field = _field(args)
-    p = _poly(args, field)
-    a = _root(args, field)
+def cmd_divide(args, field, p):
+    a = parse_element(args.root, field)
     q = divide(p, a) if field is TROPICAL else divide_sign(p, a)
-    if args.json:
-        out.write(_dump(poly_to_json_dict(q)) + "\n")
-    else:
-        out.write(format_polynomial(q) + "\n")
-    return 0
+    return poly_to_json_dict(q), _lines([q])
 
 
-def cmd_quotients(args, out):
-    field = _field(args)
-    if field is not SIGN:
-        raise _UsageError("quotients supports --field sign only (tropical quotient "
-                          "sets are infinite; use 'divide' for the maximal one)")
-    p = _poly(args, field)
-    a = _root(args, field)
-    qs = all_quotients_sign(p, a, max_degree=args.max_degree)
-    if args.json:
-        out.write(_dump([poly_to_json_dict(q)["coeffs"] for q in qs]) + "\n")
-    else:
-        for q in qs:
-            out.write(format_polynomial(q) + "\n")
-    return 0
+def cmd_quotients(args, field, p):
+    qs = all_quotients_sign(p, parse_element(args.root, field), max_degree=args.max_degree)
+    return [poly_to_json_dict(q)["coeffs"] for q in qs], _lines(qs)
 
 
-def cmd_check_product(args, out):
-    field = _field(args)
-    p = _poly(args, field)
+def cmd_check_product(args, field, p):
     factors = [parse_polynomial(text, field) for text in args.factors.split(";")]
     member = in_product(p, factors)
-    if args.json:
-        out.write(_dump({"member": member}) + "\n")
-    else:
-        out.write(("true" if member else "false") + "\n")
-    return 0
+    return {"member": member}, ("true" if member else "false") + "\n"
 
 
-def cmd_irreducible(args, out):
-    field = _field(args)
-    if field is not SIGN:
-        raise _UsageError("irreducible supports --field sign only (the irreducible "
-                          "tropical polynomials are exactly the linear ones)")
-    p = _poly(args, field)
+def cmd_irreducible(args, field, p):
     answer = is_irreducible_sign(p, max_degree=args.max_degree)
-    if args.json:
-        out.write(_dump({"irreducible": answer}) + "\n")
-    else:
-        out.write(("true" if answer else "false") + "\n")
-    return 0
+    return {"irreducible": answer}, ("true" if answer else "false") + "\n"
 
 
-def cmd_factorizations(args, out):
-    field = _field(args)
-    if field is not SIGN:
-        raise _UsageError("factorizations supports --field sign only; use 'factor' "
-                          "for the tropical field")
-    p = _poly(args, field)
+def cmd_factorizations(args, field, p):
     records = [f.to_json_dict() for f in all_factorizations_sign(p, max_degree=args.max_degree)]
-    if args.json:
-        out.write(_dump(records) + "\n")
-    else:
-        for rec in records:
-            factors = ", ".join(rec["factors"])
-            out.write(f"unit {rec['unit']}; factors {{{factors}}}; "
-                      f"witness {rec['witness_nesting']}\n")
-    return 0
+    text = "".join(f"unit {r['unit']}; factors {{{', '.join(r['factors'])}}}; "
+                   f"witness {r['witness_nesting']}\n" for r in records)
+    return records, text
 
 
-def cmd_newton(args, out):
-    field = _field(args)
-    if field is not TROPICAL:
-        raise _UsageError("newton supports --field tropical only")
-    p = _poly(args, field)
+def cmd_newton(args, field, p):
     polygon = newton_polygon(p)
     # the file comes first, so that a path that cannot be written leaves
     # no partial result on stdout
@@ -179,23 +104,16 @@ def cmd_newton(args, out):
                 fh.write(render_newton_svg(p, polygon))
         except OSError as exc:
             raise _UsageError(f"cannot write {args.svg}: {exc.strerror or exc}") from None
-    out.write(_dump(polygon.to_json_dict()) + "\n")
-    return 0
+    return polygon.to_json_dict(), None
 
 
-def cmd_multiplicity(args, out):
-    field = _field(args)
-    p = _poly(args, field)
-    a = _root(args, field)
+def cmd_multiplicity(args, field, p):
+    a = parse_element(args.root, field)
     if field is SIGN:
         m = multiplicity_sign(p, a, max_degree=args.max_degree)
     else:
         m = sum(l.multiplicity for l in roots_with_multiplicities(p) if l.root == a)
-    if args.json:
-        out.write(_dump({"multiplicity": m}) + "\n")
-    else:
-        out.write(f"{m}\n")
-    return 0
+    return {"multiplicity": m}, f"{m}\n"
 
 
 def cmd_selftest(args, out):
@@ -267,7 +185,20 @@ _COMMANDS = {
     "factorizations": cmd_factorizations,
     "newton": cmd_newton,
     "multiplicity": cmd_multiplicity,
-    "selftest": cmd_selftest,
+}
+
+# the commands defined over one field only, with the message that refuses the other
+_ONE_FIELD = {
+    "factor": (TROPICAL, "factor supports --field tropical only; every tropical "
+                         "polynomial splits into linear factors (use 'factorizations' "
+                         "for the sign field)"),
+    "quotients": (SIGN, "quotients supports --field sign only (tropical quotient "
+                        "sets are infinite; use 'divide' for the maximal one)"),
+    "irreducible": (SIGN, "irreducible supports --field sign only (the irreducible "
+                          "tropical polynomials are exactly the linear ones)"),
+    "factorizations": (SIGN, "factorizations supports --field sign only; use 'factor' "
+                             "for the tropical field"),
+    "newton": (TROPICAL, "newton supports --field tropical only"),
 }
 
 
@@ -347,18 +278,26 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
     try:
-        return handler(args, out)
+        if args.command == "selftest":
+            return cmd_selftest(args, out)
+        field = field_by_name(args.field)
+        only, refusal = _ONE_FIELD.get(args.command, (field, None))
+        if field is not only:
+            raise _UsageError(refusal)
+        p = parse_polynomial(args.poly, field)
+        data, text = _COMMANDS[args.command](args, field, p)
     except (_UsageError, PolynomialParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HyperfieldError as exc:
-        if getattr(args, "json", False):
+        if args.json:
             out.write(_dump({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
         else:
             print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 3
+    out.write(_dump(data) + "\n" if args.json or text is None else text)
+    return 0
 
 
 def main() -> None:

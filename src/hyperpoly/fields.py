@@ -19,6 +19,7 @@ field, captured by a plain ``frozenset`` of ints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -302,7 +303,10 @@ class TropicalField:
 
     @staticmethod
     def parse_element(text: str) -> TropValue:
-        return TropValue.coerce(text.strip())
+        text = text.strip()
+        if len(text) > MAX_NUMERAL_DIGITS or "e" in text or "E" in text:
+            _check_numeral_size(text)
+        return TropValue.coerce(text)
 
     @staticmethod
     def element_to_json(x: TropValue):
@@ -310,6 +314,35 @@ class TropicalField:
 
     def __repr__(self):
         return "TROPICAL"
+
+
+# Python's default limit on int <-> str conversions: a larger numerator or
+# denominator could be parsed but never printed
+MAX_NUMERAL_DIGITS = 4300
+
+# a superset of the decimal numerals Fraction accepts; compiled on first use
+_DECIMAL = r"[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?"
+
+
+def _check_numeral_size(text: str) -> None:
+    """Refuse a decimal numeral whose numerator or denominator, before
+    reduction, would have more than MAX_NUMERAL_DIGITS digits.
+
+    This runs before ``Fraction`` sees the text, because ``Fraction``
+    expands an exponent in full: ``1e100000000`` would build
+    10**100000000.  The caller skips numerals that are short and have no
+    exponent; ``int`` refuses over-long digit runs itself.
+    """
+    m = re.fullmatch(_DECIMAL, text)
+    if m is None:  # "zero", p/q, or not a number: Fraction decides
+        return
+    frac = (m["frac"] or "").replace("_", "")
+    mantissa = (m["int"].replace("_", "") + frac).lstrip("0")
+    shift = int((m["exp"] or "0").replace("_", "")) - len(frac)
+    numerator = max(len(mantissa), 1) + max(shift, 0)
+    denominator = 1 + max(-shift, 0)
+    if max(numerator, denominator) > MAX_NUMERAL_DIGITS:
+        raise ValueError(f"numerator or denominator exceeds {MAX_NUMERAL_DIGITS} digits")
 
 
 class SignField:

@@ -169,13 +169,13 @@ def parse_polynomial(text: str, field) -> Polynomial:
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise PolynomialParseError(f"bad JSON polynomial: {exc}") from None
         return poly_from_json(data, field)
     if stripped.startswith("["):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError:
+        except ValueError:
             return _parse_bracket_array(stripped, field)
         return poly_from_json(data, field)
     if field is SIGN:

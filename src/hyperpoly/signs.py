@@ -180,11 +180,10 @@ def is_irreducible_sign(p: Polynomial,
     return p.degree == 1 or (p.degree == 2 and not any(is_root(p, a) for a in (-1, 0, 1)))
 
 
-def classify_irreducibles(max_degree: int,
-                          hard_cap: int = DEFAULT_DEGREE_BOUND) -> list:
+def classify_irreducibles(max_degree: int) -> list:
     """All monic irreducible sign polynomials of degree <= max_degree,
     ordered by degree and then by coefficient array."""
-    _check_bound(max_degree, hard_cap)
+    _check_bound(max_degree, DEFAULT_DEGREE_BOUND)
     found = [q for q in MONIC_IRREDUCIBLES if q.degree <= max_degree]
     found.sort(key=lambda q: (q.degree, poly_sort_key(q)))
     return found

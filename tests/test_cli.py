@@ -1,14 +1,20 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+import hyperpoly
 
 BASE = [sys.executable, "-m", "hyperpoly"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, timeout=timeout)
 
 
 def test_divide_sign():
@@ -162,6 +168,27 @@ def test_domain_errors_exit_3():
     assert r.returncode == 3
 
 
+def test_oversized_json_integers_exit_2():
+    nines = "9" * 5000
+    for field, poly in (("tropical", f"[{nines},0]"), ("sign", f"[{nines},0]"),
+                        ("tropical", f'{{"field": "tropical", "coeffs": [{nines}, 0]}}')):
+        r = run_cli("roots", "--field", field, "--poly", poly)
+        assert r.returncode == 2, (field, poly[:20])
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+
+
+def test_exponent_numerals_past_the_digit_limit_exit_2_fast():
+    for argv in (("divide", "--field", "tropical", "--poly", "[0,0]", "--root", "1e5000"),
+                 ("roots", "--field", "tropical", "--poly", "1e5000:T+0"),
+                 ("roots", "--field", "tropical", "--poly", "1e100000000:T+0")):
+        r = run_cli(*argv, timeout=5)
+        assert r.returncode == 2, argv
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+
+
 def test_byte_identical_reruns():
     invocations = [
         ("divide", "--field", "sign", "--poly", "T^3+T^2+T+1", "--root", "-1"),
@@ -175,3 +202,34 @@ def test_byte_identical_reruns():
         second = run_cli(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def _readme_examples():
+    """(argv, comment lines) for each hyperpoly line of the README's
+    command-line block; the comment lines are the # lines that follow it."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("hyperpoly "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:])
+    return examples
+
+
+def test_readme_examples(tmp_path):
+    # run where polygon.svg may land, with the package found by absolute path
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    examples = _readme_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "roots", "factor", "divide", "quotients", "check-product", "irreducible",
+        "factorizations", "newton", "multiplicity"}
+    for argv, comments in examples:
+        r = subprocess.run(BASE + argv, capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert r.returncode == 0, (argv, r.stderr)
+        if argv[0] in ("divide", "quotients"):
+            assert comments and r.stdout == "".join(c + "\n" for c in comments), argv
+        if argv[0] == "newton":
+            assert json.loads(r.stdout) == json.loads(comments[-1])
+    assert (tmp_path / "polygon.svg").read_text().startswith("<svg")

@@ -121,3 +121,19 @@ def test_element_serialization_round_trip():
         SIGN.parse_element("2")
     with pytest.raises(ValueError):
         TropValue.coerce(0.5)
+
+
+def test_tropical_numerals_past_the_digit_limit_are_refused():
+    # ordinary numerals parse as before; a numeral whose numerator or
+    # denominator would have more than 4300 digits is refused unbuilt
+    assert TROPICAL.parse_element("1/2") == L(Fraction(1, 2))
+    assert TROPICAL.parse_element("-3") == L(-3)
+    assert TROPICAL.parse_element("0.5") == L(Fraction(1, 2))
+    assert TROPICAL.parse_element(" zero ") == TROP_ZERO
+    assert TROPICAL.parse_element("2.5E3") == L(2500)
+    assert TROPICAL.parse_element("1_0e1_0") == L(10 ** 11)
+    assert TROPICAL.parse_element("1e4299") == L(10 ** 4299)
+    assert TROPICAL.parse_element("1e-4299") == L(Fraction(1, 10 ** 4299))
+    for text in ("1e4300", "1e-4300", "1.5e-4299", "0e5000", "1e100000000", "-1e-100000000"):
+        with pytest.raises(ValueError, match="4300 digits"):
+            TROPICAL.parse_element(text)

@@ -201,6 +201,67 @@ def test_factorizations_against_bracketing_oracle():
     assert [tuple(map(str, f.factors)) for f in found] == [("T-1", "T-1", "T+1", "T+1")]
 
 
+def _closed_form_factorizations(p):
+    """The (factors, unit) pairs of p by the closed form, in report order.
+
+    Let t be the monic associate of p, k its lowest nonzero index and
+    r = t / T^k, of degree m.  The reported multisets are
+    T^k (T-1)^a (T+1)^b (T^2+1)^c with a + b + 2c = m and r(0) = (-1)^a,
+    for which one of these holds:
+
+    * a >= 1 and b >= 1;
+    * a = 0 < b and r = 1 + T + ... + T^m;
+    * b = 0 < a and r = T^m - T^(m-1) + ... +/- 1;
+    * a = b = 0 and r = 1 + T^2 + ... + T^(2c).
+
+    Proof sketch:
+
+    1. Under every bracketing a factor T shifts the coefficients, and the
+       lowest row of a product of factors with nonzero constants is a
+       single nonzero term.  So exactly k factors are T.
+    2. The constant term of every member is (-1)^a.
+    3. T+1 and T^2+1 have nonnegative coefficients, so any product of
+       them is one polynomial, with the support of the real product.  The
+       substitution T -> -T swaps T-1 and T+1 up to units.
+    4. For a, b >= 1 the bracketing
+       ((T-1)-chain * ((T+1)-chain * (T^2+1)-chain)) multiplies the fully
+       alternating polynomial by one with all coefficients positive.
+       Every middle row then holds both signs, so the product contains
+       every monic r of degree m with r(0) = (-1)^a.
+    """
+    unit = p.lead
+    t = p.scale(unit).coeffs
+    k = next(i for i, c in enumerate(t) if c != 0)
+    r = t[k:]
+    m = len(r) - 1
+    found = []
+    for c in range(m // 2 + 1):
+        for a in range(m - 2 * c + 1):
+            b = m - 2 * c - a
+            if r[0] != (-1) ** a:
+                continue
+            if ((a and b)
+                    or (a == 0 < b and r == (1,) * (m + 1))
+                    or (b == 0 < a and r == tuple((-1) ** (m - i) for i in range(m + 1)))
+                    or (a == b == 0 and r == tuple(1 - i % 2 for i in range(m + 1)))):
+                factors = [T] * k + [T_MINUS] * a + [T_PLUS] * b + [T2_PLUS] * c
+                found.append((tuple(sorted(factors, key=lambda q: q.coeffs)), unit))
+    found.sort(key=lambda f: (len(f[0]), tuple(q.coeffs for q in f[0])))
+    return found
+
+
+def test_factorizations_follow_closed_form():
+    # every sign polynomial of degree 1-6, both leading signs: the search
+    # reports exactly the closed form's multisets, units and order
+    pairs = 0
+    for n in range(1, 7):
+        for p in _all_polys(n):
+            got = [(f.factors, f.unit) for f in all_factorizations_sign(p)]
+            assert got == _closed_form_factorizations(p), str(p)
+            pairs += len(got)
+    assert pairs == 7306
+
+
 def test_irreducible_member_has_associated_factor():
     # whenever an irreducible p appears in a searched factorization of a
     # product containing it, some factor is associated to p
