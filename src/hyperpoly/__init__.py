@@ -16,6 +16,7 @@ from .errors import (
     InternalInvariantError,
     NotARootError,
     PolynomialParseError,
+    ResultTooLarge,
     ZeroOperandError,
 )
 from .fields import (

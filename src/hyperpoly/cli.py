@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 on usage or parse errors (bad syntax never
 reaches the library) and on an --svg file that cannot be written, 3 on
-domain errors such as NotARoot or DegreeBoundExceeded.  With --json,
-domain errors are reported as a machine-readable object
+domain errors such as NotARoot, DegreeBoundExceeded or ResultTooLarge
+(an answer with a numerator or denominator too long to print).  With
+--json, domain errors are reported as a machine-readable object
 {"error": {"code": ..., "message": ...}} on stdout.  All output is
 deterministic: identical command lines produce byte-identical output.
 """
@@ -21,6 +22,7 @@ from .morphisms import check_pushforward_lemma, nonuniqueness_witness
 from .parsing import format_polynomial, parse_element, parse_polynomial, poly_to_json_dict
 from .polynomials import DEFAULT_DEGREE_BOUND, divides_linearly, in_product, is_root
 from .signs import (
+    _check_bound,
     all_factorizations_sign,
     all_quotients_sign,
     classify_irreducibles,
@@ -52,8 +54,8 @@ def cmd_roots(args, field, p):
         records = [{"root": str(l.root), "multiplicity": l.multiplicity, "start": l.start}
                    for l in roots_with_multiplicities(p)]
     else:
-        records = [{"root": a, "multiplicity": multiplicity_sign(p, a, max_degree=args.max_degree)}
-                   for a in (-1, 0, 1) if is_root(p, a)]
+        records = [{"root": a, "multiplicity": m} for a in (-1, 0, 1)
+                   if (m := multiplicity_sign(p, a, max_degree=args.max_degree)) > 0]
     data = {"field": field.name, "poly": poly_to_json_dict(p)["coeffs"], "roots": records}
     text = "".join(f"root {r['root']} multiplicity {r['multiplicity']}\n" for r in records)
     return data, text or "no roots\n"
@@ -78,6 +80,9 @@ def cmd_quotients(args, field, p):
 
 def cmd_check_product(args, field, p):
     factors = [parse_polynomial(text, field) for text in args.factors.split(";")]
+    # bounded here, not in in_product: the pushforward trials reach degree 16
+    if field is SIGN:
+        _check_bound(p.degree, args.max_degree)
     member = in_product(p, factors)
     return {"member": member}, ("true" if member else "false") + "\n"
 
@@ -96,6 +101,7 @@ def cmd_factorizations(args, field, p):
 
 def cmd_newton(args, field, p):
     polygon = newton_polygon(p)
+    data = polygon.to_json_dict()  # a result too large to print then writes no file
     # the file comes first, so that a path that cannot be written leaves
     # no partial result on stdout
     if args.svg:
@@ -104,7 +110,7 @@ def cmd_newton(args, field, p):
                 fh.write(render_newton_svg(p, polygon))
         except OSError as exc:
             raise _UsageError(f"cannot write {args.svg}: {exc.strerror or exc}") from None
-    return polygon.to_json_dict(), None
+    return data, None
 
 
 def cmd_multiplicity(args, field, p):

@@ -41,6 +41,12 @@ class ConstantPolynomialError(HyperfieldError):
     code = "ConstantPolynomial"
 
 
+class ResultTooLarge(HyperfieldError):
+    """A result has a numerator or denominator too long to print."""
+
+    code = "ResultTooLarge"
+
+
 class InternalInvariantError(HyperfieldError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable
 
-from .errors import EmptySumError
+from .errors import EmptySumError, ResultTooLarge
 
 __all__ = [
     "TropValue",
@@ -123,7 +123,7 @@ class TropValue:
         return (1, self.exponent)
 
     def __str__(self) -> str:
-        return "zero" if self.exponent is None else str(self.exponent)
+        return "zero" if self.exponent is None else exact_str(self.exponent)
 
     def __repr__(self) -> str:
         return f"TropValue({self})"
@@ -319,6 +319,17 @@ class TropicalField:
 # Python's default limit on int <-> str conversions: a larger numerator or
 # denominator could be parsed but never printed
 MAX_NUMERAL_DIGITS = 4300
+
+
+def exact_str(x) -> str:
+    """``str(x)`` for an int or Fraction, or ResultTooLarge past the digit
+    limit, which values computed from inputs within it can exceed."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ResultTooLarge("the result has a numerator or denominator of more than "
+                             f"{MAX_NUMERAL_DIGITS} digits") from None
+
 
 # a superset of the decimal numerals Fraction accepts; compiled on first use
 _DECIMAL = r"[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?"

@@ -18,6 +18,11 @@ finite set of tie values derived from the target and the remaining
 factors, except that a product of linear factors is decided by the
 exact closed-form criterion (each coefficient bounded by the product of
 the larger roots, with equality forced at strict root increases).
+
+Division by T - a is a chain of relations, relation i linking only d_{i-1}
+and d_i: ``_linear_relation`` states them, ``divides_linearly`` checks a
+given q, and ``_linear_quotients`` walks them to list the quotients of
+both fields.
 """
 
 from __future__ import annotations
@@ -219,6 +224,34 @@ def _linear_relation(f, na, c_i, d_prev, d_i) -> bool:
     if d_i is None:
         return c_i == d_prev
     return f.subset_contains(f.hyperadd([f.mul(na, d_i), d_prev]), c_i)
+
+
+def _linear_quotients(p: Polynomial, a, options, budget: int = 0) -> list:
+    """The q with p in (T - a) * q whose d_i come from options[i], sorted.
+
+    options[i] holds (value, cost) pairs; a quotient's costs add up to at
+    most ``budget``.  The walk extends the prefixes d_0 .. d_{i-1} one
+    position at a time, grouped by their last value: relation i depends
+    only on d_{i-1} and d_i, so it is evaluated once per pair of values,
+    and a failed one drops the whole group.
+    """
+    f, c, n = p.field, p.coeffs, p.degree
+    na = f.neg(a)
+    groups = {None: [((), budget)]}  # d_{i-1} -> [(d_0 .. d_{i-1}, budget left)]
+    for i in range(n):
+        grown = {}
+        for prev, prefixes in groups.items():
+            for v, cost in options[i]:
+                if _linear_relation(f, na, c[i], prev, v):
+                    for d, left in prefixes:
+                        if cost <= left:
+                            grown.setdefault(v, []).append((d + (v,), left - cost))
+        groups = grown
+    found = []
+    for prev, prefixes in groups.items():
+        if _linear_relation(f, na, c[n], prev, None):
+            found += [Polynomial(f, d) for d, _ in prefixes]
+    return sorted(found, key=poly_sort_key)
 
 
 # ---------------------------------------------------------------------------

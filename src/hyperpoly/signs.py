@@ -12,9 +12,13 @@ are closed forms from the source paper and run in O(n):
 * the monic irreducibles are exactly T, T-1, T+1 and T^2+1, so p is
   irreducible iff it has degree 1, or degree 2 and no root.
 
-Two operations are exhaustive enumerations: the quotient set of a
-linear division and the factorization search.  Every public operation
-with a ``max_degree`` argument refuses degrees above it (default
+Two operations are exhaustive enumerations.  The quotient set of a
+division by T - 1 or T + 1 is the set of paths through the division
+relations when every coefficient may be 1, 0 or -1, listed by the
+quotient walk shared with the tropical search
+(``polynomials._linear_quotients``); dividing by T only shifts.  The
+other is the factorization search.  Every public operation with a
+``max_degree`` argument refuses degrees above it (default
 ``DEFAULT_DEGREE_BOUND`` = 12) with ``DegreeBoundExceeded``; the closed
 forms keep that check so that their errors match the enumerations'.
 The brute-force definitions of multiplicity and irreducibility live in
@@ -49,6 +53,7 @@ from .parsing import format_polynomial
 from .polynomials import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
+    _linear_quotients,
     _product_members,
     is_root,
     poly_sort_key,
@@ -136,35 +141,20 @@ def all_quotients_sign(p: Polynomial, a: int,
                        max_degree: int = DEFAULT_DEGREE_BOUND) -> list:
     """The exact set {q : deg q = deg p - 1 and p in (T - a) * q}, sorted.
 
-    Enumerates the 3^n coefficient vectors as a depth-first sweep with
-    the membership relations checked as each position is filled, which
-    prunes to the same set the raw enumeration produces.
+    For a = 0 it is a closed form: T * q is the single polynomial
+    shifted up from q, so the set is the shift of p or empty.  For a unit
+    a every coefficient of q ranges over {1, 0, -1}, and the shared
+    quotient walk keeps the paths that satisfy every division relation,
+    which is the set the raw enumeration of the 3^n vectors produces.
     """
     _check_sign_value(a)
     if p.is_zero or p.degree < 1:
         raise ConstantPolynomialError("a polynomial of degree >= 1 is required")
-    n = p.degree
-    _check_bound(n, max_degree)
-    c = p.coeffs
-
+    _check_bound(p.degree, max_degree)
     if a == 0:
-        return [Polynomial(SIGN, c[1:])] if c[0] == 0 else []
-
-    out = []
-    d0 = -a * c[0]  # forced by c_0 = -a d_0 since a is a unit
-    stack = [(d0,)]
-    while stack:
-        d = stack.pop()
-        i = len(d)
-        if i == n:
-            if d[n - 1] == c[n]:
-                out.append(Polynomial(SIGN, d))
-            continue
-        for v in (1, 0, -1):
-            if c[i] in SIGN.hyperadd((-a * v, d[i - 1])):
-                stack.append(d + (v,))
-    out.sort(key=poly_sort_key)
-    return out
+        return [Polynomial(SIGN, p.coeffs[1:])] if p.coeffs[0] == 0 else []
+    # every sign value may stand at every position, none at a cost
+    return _linear_quotients(p, a, [((1, 0), (0, 0), (-1, 0))] * p.degree)
 
 
 def is_irreducible_sign(p: Polynomial,

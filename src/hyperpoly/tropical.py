@@ -13,10 +13,9 @@ coefficients above the divided root locus descend from the leading one,
 the coefficients below climb from the constant one, and the locus
 itself is filled with explicit suffix products of the roots.  The
 result is the coefficientwise-maximal polynomial q with p in (T+a)*q;
-the quotient is unique exactly when all roots are simple.  Membership
-p in (T+a)*q is a chain of coefficient relations, and relation i
-involves only d_{i-1} and d_i, so other quotients near the maximal one
-are searched position by position, pruning at the first failed relation.
+the quotient is unique exactly when all roots are simple.  Quotients
+near the maximal one are searched by the quotient walk shared with the
+sign field, offering each position its maximal value or a lowered one.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstantPolynomialError, InternalInvariantError, NotARootError
-from .fields import TROPICAL, TropValue
-from .polynomials import Polynomial, _linear_relation, divides_linearly, poly_sort_key
+from .fields import TROPICAL, TropValue, exact_str
+from .polynomials import Polynomial, _linear_quotients, divides_linearly
 
 __all__ = [
     "NewtonPolygon",
@@ -58,8 +57,8 @@ class NewtonPolygon:
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [[i, "+inf" if h is None else str(h)] for i, h in self.vertices],
-            "slopes": [str(s) for s in self.slopes],
+            "vertices": [[i, "+inf" if h is None else exact_str(h)] for i, h in self.vertices],
+            "slopes": [exact_str(s) for s in self.slopes],
             "zero_mult": self.zero_root_multiplicity,
         }
 
@@ -195,31 +194,17 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     Lowers up to ``max_changed`` coefficients of ``divide(p, a)`` (to the
     exponent minus each delta, or to zero) and returns every such q with
     p in (T + a) * q, sorted; the maximal quotient is always among them.
-    The walk checks relation i as soon as d_{i-1} and d_i are fixed and
-    drops a branch at its first failure.  For exploring the quotient set
-    at desk scale, not for characterizing it.
+    The shared quotient walk offers top_i at no cost and each lowered
+    value at a cost of one change.  For exploring the quotient set at
+    desk scale, not for characterizing it.
     """
-    top = divide(p, a).coeffs
-    c, n = p.coeffs, len(top)
-    # the values other than top_i that position i may take, each once
-    lowered = [[] if t.is_zero else [v for v in dict.fromkeys(
-        TropValue(t.exponent - Fraction(d)) for d in deltas) if v != t] + [TropValue.zero()]
-        for t in top]
-    found = []
-    stack = [((), max_changed)]
-    while stack:
-        d, budget = stack.pop()
-        i = len(d)
-        if i == n:
-            if _linear_relation(TROPICAL, a, c[n], d[-1], None):
-                found.append(Polynomial(TROPICAL, d))
-            continue
-        prev = d[-1] if d else None
-        options = (top[i], *lowered[i]) if budget > 0 else (top[i],)
-        for j, v in enumerate(options):
-            if _linear_relation(TROPICAL, a, c[i], prev, v):
-                stack.append((d + (v,), budget - (j > 0)))
-    return sorted(found, key=poly_sort_key)
+    options = []
+    for t in divide(p, a).coeffs:
+        # top_i, then the other values position i may take, each once
+        lowered = [] if t.is_zero else [v for v in dict.fromkeys(
+            TropValue(t.exponent - Fraction(d)) for d in deltas) if v != t] + [TropValue.zero()]
+        options.append(((t, 0), *((v, 1) for v in lowered)))
+    return _linear_quotients(p, a, options, max(max_changed, 0))
 
 
 def render_newton_svg(p: Polynomial, polygon: NewtonPolygon | None = None) -> str:
@@ -231,22 +216,21 @@ def render_newton_svg(p: Polynomial, polygon: NewtonPolygon | None = None) -> st
     missing = [i for i, c in enumerate(p.coeffs) if c.is_zero]
     hull = [(i, h) for i, h in polygon.vertices if h is not None]
 
-    xs = [float(i) for i, _ in finite]
-    ys = [float(h) for _, h in finite]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    # scaled in exact arithmetic; only the pixel coordinates become floats
+    x_lo, x_hi = min(i for i, _ in finite), max(i for i, _ in finite)
+    y_lo, y_hi = min(h for _, h in finite), max(h for _, h in finite)
     if x_hi == x_lo:
         x_hi += 1
     if y_hi == y_lo:
         y_hi += 1
 
-    width, height, margin = 420.0, 300.0, 50.0
+    width, height, margin = 420, 300, 50
 
     def sx(x):
-        return margin + (float(x) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return float(margin + Fraction(x - x_lo, x_hi - x_lo) * (width - 2 * margin))
 
     def sy(y):
-        return height - margin - (float(y) - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        return float(height - margin - Fraction(y - y_lo, y_hi - y_lo) * (height - 2 * margin))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -263,8 +247,8 @@ def render_newton_svg(p: Polynomial, polygon: NewtonPolygon | None = None) -> st
     lines.append(f'<polyline points="{path}" fill="none" stroke="black" stroke-width="2"/>')
     for i, h in finite:
         lines.append(f'<circle cx="{sx(i):.2f}" cy="{sy(h):.2f}" r="3" fill="black"/>')
-        lines.append(
-            f'<text x="{sx(i) + 5:.2f}" y="{sy(h) - 5:.2f}" font-size="10">({i}, {h})</text>')
+        lines.append(f'<text x="{sx(i) + 5:.2f}" y="{sy(h) - 5:.2f}" font-size="10">'
+                     f'({i}, {exact_str(h)})</text>')
     for k, i in enumerate(missing):
         lines.append(
             f'<text x="{margin:.1f}" y="{12 + 12 * k:.1f}" font-size="10">'

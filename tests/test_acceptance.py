@@ -5,6 +5,7 @@ Every check is exact arithmetic (tolerance zero).  One pass/fail line is
 printed per criterion; run pytest with -rP (or -s) to see them.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import time
 from fractions import Fraction
 from itertools import product as iter_product
 
+import hyperpoly
 from hyperpoly import (
     Polynomial,
     SIGN,
@@ -274,8 +276,10 @@ DOCUMENTED_INVOCATIONS = [
 
 
 def _run_cli(argv):
+    # the child imports the package this process imported, wherever it lives
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hyperpoly.__file__)))
     return subprocess.run([sys.executable, "-m", "hyperpoly"] + argv,
-                          capture_output=True)
+                          capture_output=True, env=env)
 
 
 def test_criterion_10_cli_determinism():

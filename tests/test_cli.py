@@ -10,11 +10,14 @@ from pathlib import Path
 import hyperpoly
 
 BASE = [sys.executable, "-m", "hyperpoly"]
+# children import the package this process imported, wherever it lives
+ENV = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, timeout=None):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, timeout=timeout,
+                          env=ENV)
 
 
 def test_divide_sign():
@@ -189,6 +192,51 @@ def test_exponent_numerals_past_the_digit_limit_exit_2_fast():
         assert "Traceback" not in r.stderr
 
 
+def test_results_past_the_digit_limit_exit_3():
+    # each input parses, but a root or a slope has an 8,598-digit numerator
+    for argv in (("roots", "--field", "tropical", "--poly", "1e4299:T+1e-4299"),
+                 ("factor", "--field", "tropical", "--poly", "1e4299:T^2+0:T+1e-4299"),
+                 ("newton", "--field", "tropical", "--poly", "1e4299:T^2+1e-4299")):
+        r = run_cli(*argv, timeout=5)
+        assert r.returncode == 3, argv
+        assert r.stdout == ""
+        assert r.stderr.startswith("error [ResultTooLarge]: ")
+        assert "Traceback" not in r.stderr
+    r = run_cli("roots", "--field", "tropical", "--poly", "1e4299:T+1e-4299", "--json",
+                timeout=5)
+    assert r.returncode == 3
+    assert json.loads(r.stdout)["error"]["code"] == "ResultTooLarge"
+    assert r.stderr == ""
+
+
+def test_newton_svg_past_the_float_range(tmp_path):
+    svg = tmp_path / "polygon.svg"
+    r = run_cli("newton", "--field", "tropical", "--poly", "1e309:T^2+0", "--svg", str(svg),
+                timeout=5)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["slopes"] == ["-5" + "0" * 308] * 2
+    text = svg.read_text(encoding="utf-8")
+    assert '<polyline points="50.00,50.00 370.00,250.00"' in text
+    assert "(2, -1" + "0" * 309 + ")" in text
+
+
+def test_sign_degree_bound_on_roots_and_check_product():
+    r = run_cli("roots", "--field", "sign", "--poly", "T^14+1", timeout=5)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error [DegreeBoundExceeded]: ")
+    pairs = ";".join(["T-1;T+1"] * 8)
+    r = run_cli("check-product", "--field", "sign", "--poly", "T^16+1", "--factors", pairs,
+                timeout=5)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error [DegreeBoundExceeded]: ")
+    # within a raised bound the search runs: the constant terms rule the
+    # pairs out, and (T+1)^15 (T-1) nested to the left reaches T^16-1
+    for factors, answer in ((pairs, "false\n"), (";".join(["T+1"] * 15 + ["T-1"]), "true\n")):
+        r = run_cli("check-product", "--field", "sign", "--max-degree", "16",
+                    "--poly", "T^16-1", "--factors", factors, timeout=5)
+        assert (r.returncode, r.stdout) == (0, answer)
+
+
 def test_byte_identical_reruns():
     invocations = [
         ("divide", "--field", "sign", "--poly", "T^3+T^2+T+1", "--root", "-1"),
@@ -219,14 +267,13 @@ def _readme_examples():
 
 
 def test_readme_examples(tmp_path):
-    # run where polygon.svg may land, with the package found by absolute path
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    # run where polygon.svg may land
     examples = _readme_examples()
     assert {argv[0] for argv, _ in examples} == {
         "roots", "factor", "divide", "quotients", "check-product", "irreducible",
         "factorizations", "newton", "multiplicity"}
     for argv, comments in examples:
-        r = subprocess.run(BASE + argv, capture_output=True, text=True, cwd=tmp_path, env=env)
+        r = subprocess.run(BASE + argv, capture_output=True, text=True, cwd=tmp_path, env=ENV)
         assert r.returncode == 0, (argv, r.stderr)
         if argv[0] in ("divide", "quotients"):
             assert comments and r.stdout == "".join(c + "\n" for c in comments), argv

@@ -20,6 +20,7 @@ from hyperpoly import (
     is_irreducible_sign,
     is_root,
     multiplicity_sign,
+    poly_sort_key,
     sign_poly,
 )
 
@@ -79,9 +80,10 @@ def test_all_quotients_worked_examples():
 def test_all_quotients_against_raw_enumeration():
     for n in (1, 2, 3, 4):
         for p in _all_polys(n):
-            for a in (-1, 1):
-                got = {q.coeffs for q in all_quotients_sign(p, a)}
-                assert got == raw_sign_quotients(p.coeffs, a)
+            for a in (-1, 0, 1):
+                expected = sorted((Polynomial(SIGN, q) for q in raw_sign_quotients(p.coeffs, a)),
+                                  key=poly_sort_key)
+                assert all_quotients_sign(p, a) == expected
 
 
 def test_all_quotients_bound():
