@@ -160,10 +160,6 @@ class TropSubset:
     def contains(self, x: TropValue) -> bool:
         return x <= self.top if self.interval else x == self.top
 
-    @property
-    def contains_zero(self) -> bool:
-        return self.interval or self.top.is_zero
-
     def scale(self, u: TropValue) -> "TropSubset":
         return TropSubset(self.top * u, self.interval)
 
@@ -290,8 +286,8 @@ class TropicalField:
         return s.contains(x)
 
     @staticmethod
-    def subset_contains_zero(s: TropSubset) -> bool:
-        return s.contains_zero
+    def contains(c: TropValue, terms) -> bool:
+        return trop_contains(c, terms)
 
     @staticmethod
     def sort_key(x: TropValue):
@@ -408,8 +404,12 @@ class SignField:
         return x in s
 
     @staticmethod
-    def subset_contains_zero(s: frozenset) -> bool:
-        return 0 in s
+    def contains(c: int, terms) -> bool:
+        """c in the hypersum of ``terms``: a nonzero c must occur among them,
+        and 0 lies in it when both signs occur or neither does."""
+        if not terms:
+            raise EmptySumError("hyperaddition needs at least one summand")
+        return c in terms if c else (1 in terms) == (-1 in terms)
 
     @staticmethod
     def sort_key(x: int):

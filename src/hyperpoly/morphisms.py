@@ -174,7 +174,7 @@ def check_morphism_laws(morphism: str = "sign", trials: int = 200, seed: int = 0
         total = terms[0]
         for t in terms[1:]:
             total = add(total, t)
-        if not field.subset_contains(field.hyperadd([fmap(t) for t in terms]), fmap(total)):
+        if not field.contains(fmap(total), [fmap(t) for t in terms]):
             failures.append("f(sum) not in hypersum of images at "
                             + ", ".join(fmt(t) for t in terms))
     return {"morphism": morphism, "trials": trials, "seed": seed,

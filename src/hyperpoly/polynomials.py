@@ -8,16 +8,17 @@ has degree ``NEG_INF``.
 The product of two polynomials is a *set*: its i-th coefficient ranges
 over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
 n-fold products are defined by the left-nested recursion (the product
-is not associative, so the nesting matters); membership tests for three
-or more factors search over the intermediate polynomials of the chain.
-Over the sign field the intermediates range over finite sets and the
-search is exhaustive.  Over the tropical field each intermediate
-coefficient is confined to a singleton or an interval [0, top]; the
-search tries the interval top first and otherwise backtracks over a
-finite set of tie values derived from the target and the remaining
-factors, except that a product of linear factors is decided by the
-exact closed-form criterion (each coefficient bounded by the product of
-the larger roots, with equality forced at strict root increases).
+is not associative, so the nesting matters).  Membership for three or
+more factors is one depth-first search over the chain's intermediates,
+ending in the two-factor row check.  A sign step tries every member of
+the two-factor product, so that search is exhaustive.  A tropical
+intermediate coefficient lies in a singleton or an interval [0, top]; a
+step tries the top first, then tie values derived from the target and
+the remaining factors.  That search can miss members.  It refuses a
+target above the all-tops chain at once, and a product of linear
+factors is decided by the exact closed-form criterion (each coefficient
+bounded by the product of the larger roots, with equality forced at
+strict root increases).
 
 Division by T - a is a chain of relations, relation i linking only d_{i-1}
 and d_i: ``_linear_relation`` states them, ``divides_linearly`` checks a
@@ -162,8 +163,7 @@ def is_root(p: Polynomial, a) -> bool:
     """True iff 0 lies in the hypersum of the terms c_i * a^i."""
     _require_nonzero(p)
     f = p.field
-    terms = [f.mul(c, f.pow(a, i)) for i, c in enumerate(p.coeffs)]
-    return f.subset_contains_zero(f.hyperadd(terms))
+    return f.contains(f.zero, [f.mul(c, f.pow(a, i)) for i, c in enumerate(p.coeffs)])
 
 
 def associated(p: Polynomial, q: Polynomial) -> bool:
@@ -223,7 +223,7 @@ def _linear_relation(f, na, c_i, d_prev, d_i) -> bool:
         return c_i == f.mul(na, d_i)
     if d_i is None:
         return c_i == d_prev
-    return f.subset_contains(f.hyperadd([f.mul(na, d_i), d_prev]), c_i)
+    return f.contains(c_i, [f.mul(na, d_i), d_prev])
 
 
 def _linear_quotients(p: Polynomial, a, options, budget: int = 0) -> list:
@@ -284,11 +284,17 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
     if r.lead != lead or r.coeffs[0] != const:
         return False
     if len(fs) == 2:
-        rows = _product_rows(fs[0], fs[1])
-        return all(f.subset_contains(rows[i], r.coeffs[i]) for i in range(len(rows)))
+        return _in_rows(r, fs[0], fs[1])
     if f is TROPICAL and all(q.degree == 1 for q in fs):
         return _linear_tropical_member(r, fs)
     return _chain_member(r, fs)
+
+
+def _in_rows(r: Polynomial, p: Polynomial, q: Polynomial) -> bool:
+    """r in p * q: each coefficient of r lies in its row of cross terms."""
+    rows = _product_rows(p, q)
+    return len(rows) == len(r.coeffs) and all(
+        r.field.subset_contains(row, c) for row, c in zip(rows, r.coeffs))
 
 
 def _linear_tropical_member(r: Polynomial, fs) -> bool:
@@ -306,80 +312,71 @@ def _linear_tropical_member(r: Polynomial, fs) -> bool:
         roots.append(f.mul(q.coeffs[0], f.inv(q.lead)))
     roots.sort()
     c = r.scale(f.inv(unit)).coeffs
-    n = len(roots)
     suffix = f.one
-    bounds = [f.one] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix = f.mul(suffix, roots[i])
-        bounds[i] = suffix
-    for i in range(n):
-        forced = i == 0 or roots[i - 1] < roots[i]
-        if forced:
-            if c[i] != bounds[i]:
+    for i in range(len(roots) - 1, -1, -1):
+        suffix = f.mul(suffix, roots[i])  # a_{i+1} ... a_n, 1-based
+        if i == 0 or roots[i - 1] < roots[i]:
+            if c[i] != suffix:
                 return False
-        elif not c[i] <= bounds[i]:
+        elif not c[i] <= suffix:
             return False
     return True
 
 
 def _chain_member(r: Polynomial, fs) -> bool:
-    """Left-to-right search over the intermediate polynomials of the chain."""
+    """Depth-first search over the intermediate coefficient tuples: a sign
+    step tries the members of the two-factor product, a tropical step the
+    candidates of ``_tropical_options``, and the last step checks r row by row."""
     f = r.field
-    target = r.coeffs
-
-    if f is SIGN:
-        def options_for(rows, idx):
-            return [sorted(row) for row in rows]
-    else:
+    last = len(fs) - 1
+    if f is TROPICAL:
+        # every member lies coefficientwise below the all-tops chain
+        tops = fs[0]
+        for q in fs[1:]:
+            tops = Polynomial(f, tuple(s.top for s in _product_rows(tops, q)))
+        if any(t < c for t, c in zip(tops.coeffs, r.coeffs)):
+            return False
         anchor_pool = _tropical_anchor_pool(r, fs)
+    seen = set()  # (step, intermediate) pairs already explored without success
 
-        def options_for(rows, idx):
-            # candidate values for an interval coefficient: the top first,
-            # then ties against target-derived values and against sibling
-            # cross terms at the next step, then zero
-            anchors = set(anchor_pool[idx])
-            anchors.update(s.top.exponent for s in rows
-                           if not s.interval and not s.top.is_zero)
-            next_exps = [c.exponent for c in fs[idx + 1].coeffs if not c.is_zero]
-            ratios = {l1 - l2 for l1 in next_exps for l2 in next_exps}
-            ties = {a + d for a in anchors for d in ratios} | anchors
-            out = []
-            for row in rows:
-                if not row.interval:
-                    out.append([row.top])
-                    continue
-                cands = [row.top]
-                cands.extend(sorted((TropValue(v) for v in ties
-                                     if TROPICAL.zero < TropValue(v) < row.top),
-                                    reverse=True))
-                cands.append(TROPICAL.zero)
-                out.append(cands)
-            return out
-
-    seen = set()  # intermediates already explored without success
-
-    def step(current: Polynomial, idx: int) -> bool:
-        key = (idx, current.coeffs)
-        if key in seen:
+    def step(cs: tuple, idx: int) -> bool:
+        if (idx, cs) in seen:
             return False
-        rows = _product_rows(current, fs[idx])
-        if idx == len(fs) - 1:
-            if len(rows) == len(target) and all(
-                    f.subset_contains(rows[i], target[i]) for i in range(len(rows))):
-                return True
-            seen.add(key)
-            return False
-        options = options_for(rows, idx)
-        for combo in iter_product(*options):
-            w = Polynomial(f, combo)
-            if w.degree != len(rows) - 1:
-                continue
-            if step(w, idx + 1):
-                return True
-        seen.add(key)
-        return False
+        if idx == last:
+            found = _in_rows(r, Polynomial(f, cs), fs[idx])
+        elif f is SIGN:
+            found = any(step(w, idx + 1) for w in _product_members(cs, fs[idx].coeffs))
+        else:
+            rows = _product_rows(Polynomial(f, cs), fs[idx])
+            options = _tropical_options(rows, anchor_pool[idx], fs[idx + 1])
+            found = any(step(w, idx + 1) for w in iter_product(*options))
+        if not found:
+            seen.add((idx, cs))
+        return found
 
-    return step(fs[0], 1)
+    return step(fs[0].coeffs, 1)
+
+
+def _tropical_options(rows, anchors, next_factor) -> list:
+    """Candidates per coefficient of a tropical intermediate: an interval row
+    tries its top, then ties against ``anchors`` (target-derived), against
+    the singleton rows and the next factor's cross-term ratios, then zero."""
+    anchors = set(anchors)
+    anchors.update(s.top.exponent for s in rows if not s.interval and not s.top.is_zero)
+    next_exps = [c.exponent for c in next_factor.coeffs if not c.is_zero]
+    ratios = {l1 - l2 for l1 in next_exps for l2 in next_exps}
+    ties = {a + d for a in anchors for d in ratios} | anchors
+    out = []
+    for row in rows:
+        if not row.interval:
+            out.append([row.top])
+            continue
+        cands = [row.top]
+        cands.extend(sorted((TropValue(v) for v in ties
+                             if TROPICAL.zero < TropValue(v) < row.top), reverse=True))
+        cands.append(TROPICAL.zero)
+        out.append(cands)
+    return out
 
 
 def _tropical_anchor_pool(r: Polynomial, fs):
@@ -393,10 +390,10 @@ def _tropical_anchor_pool(r: Polynomial, fs):
     pools = {}
     targets = [c.exponent for c in r.coeffs if not c.is_zero]
     for idx in range(1, len(fs) - 1):
-        chain_sums = [Fraction(0)]
+        chain_sums = {Fraction(0)}
         for q in fs[idx + 1:]:
             exps = [c.exponent for c in q.coeffs if not c.is_zero]
-            chain_sums = [s + e for s in chain_sums for e in exps]
+            chain_sums = {s + e for s in chain_sums for e in exps}
         pools[idx] = {t - s for t in targets for s in chain_sums}
     return pools
 

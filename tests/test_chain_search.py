@@ -4,14 +4,20 @@ For integer-exponent inputs every tie in the constraint system happens
 at an integer, so a half-step grid over a wide enough range (plus zero)
 hits a witness whenever one exists: integer points cover the ties and
 half-integer points cover the open interiors.  That makes the oracle
-below complete on such instances, at brute-force cost.
+below complete on such instances, at brute-force cost.  The last tests
+pin the search's known limits: targets above the all-tops chain, and
+two four-factor members it misses.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product as iter_product
 
+import pytest
+
 from hyperpoly import Polynomial, TROPICAL, TropValue, in_product, trop_poly
+from hyperpoly.parsing import parse_polynomial
 from hyperpoly.polynomials import _product_rows
 
 L = TropValue.log
@@ -132,3 +138,42 @@ def test_four_factor_linear_consistency():
             rows = _product_rows(acc, q)
             acc = Polynomial(TROPICAL, tuple(s.top for s in rows))
         assert in_product(acc, target_factors)
+
+
+def test_target_above_the_all_tops_chain_is_refused_at_once():
+    # the max-plus product of (1 + T + T^2)^8 with its middle coefficient
+    # raised: the search used to backtrack about 10x longer per factor
+    fs = [trop_poly([0, 0, 0])] * 8
+    raised = [0] * 17
+    raised[8] = 1
+    start = time.perf_counter()
+    assert not in_product(trop_poly(raised), fs)
+    assert time.perf_counter() - start < 1.0
+    assert in_product(trop_poly([0] * 17), fs)
+
+
+# (target, factors, witness intermediates): members the search misses
+MISSED_MEMBERS = [
+    ("-4:T^5+-2:T^4+-4:T^3+1:T+2", "-1:T^2+-1:T+1;-1:T+0;-1:T+0;-1:T+1",
+     "-2:T^3+-1:T^2+0:T+1;-3:T^4+-4:T^3+-2:T^2+0:T+1"),
+    ("-1:T^5+-2:T^4+3:T^3+4:T^2+4:T+4", "-1:T^2+1:T+1;-1:T+1;1:T+1;0:T+1",
+     "-2:T^3+-1:T^2+2:T+2;-1:T^4+0:T^3+3:T^2+3:T+3"),
+]
+
+
+def _parse_all(texts):
+    return [parse_polynomial(t, TROPICAL) for t in texts.split(";")]
+
+
+@pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
+def test_missed_member_witness_checks_out_link_by_link(target, factors, chain):
+    r, fs, ws = parse_polynomial(target, TROPICAL), _parse_all(factors), _parse_all(chain)
+    for left, q, product in zip([fs[0]] + ws, fs[1:], ws + [r]):
+        assert in_product(product, [left, q]), (str(product), str(left), str(q))
+
+
+@pytest.mark.xfail(strict=True, reason="the tie candidates of the tropical chain "
+                                       "search do not reach this witness")
+@pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
+def test_missed_member_is_found(target, factors, chain):
+    assert in_product(parse_polynomial(target, TROPICAL), _parse_all(factors))

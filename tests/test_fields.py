@@ -1,6 +1,7 @@
 """Element arithmetic and multi-valued sums of the two hyperfields."""
 
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -79,6 +80,20 @@ def test_trop_contains():
     # zero belongs to every interval [0, a]
     assert trop_contains(TROP_ZERO, [L(1), L(1)])
     assert not trop_contains(TROP_ZERO, [L(1), L(0)])
+
+
+def test_field_contains_matches_the_hypersum():
+    # each field's membership test decides c in the hypersum without building it
+    trop_values = (TROP_ZERO, L(0), L(1))
+    for field, values, hyperadd in ((SIGN, (-1, 0, 1), sign_hyperadd),
+                                    (TROPICAL, trop_values, trop_hyperadd)):
+        for n in range(1, 5):
+            for terms in iter_product(values, repeat=n):
+                for c in values:
+                    assert field.contains(c, list(terms)) == \
+                        field.subset_contains(hyperadd(terms), c), (c, terms)
+        with pytest.raises(EmptySumError):
+            field.contains(field.zero, [])
 
 
 def test_subset_membership():

@@ -115,6 +115,41 @@ def test_enumerate_product():
     assert enumerate_product([sign_poly([1]), p]) == [p]
 
 
+def test_three_factor_sign_chain_matches_enumeration():
+    # every ordered triple of degree-1 factors against every degree-3 target
+    linear = [sign_poly([c, lead]) for c in (-1, 0, 1) for lead in (-1, 1)]
+    targets = [sign_poly(cs + (lead,))
+               for cs in iter_product((-1, 0, 1), repeat=3) for lead in (-1, 1)]
+    cases = members = 0
+    for fs in iter_product(linear, repeat=3):
+        product = set(enumerate_product(fs))
+        for r in targets:
+            got = in_product(r, fs)
+            assert got == (r in product), (str(r), [str(q) for q in fs])
+            cases += 1
+            members += got
+    assert (cases, members) == (11664, 568)
+
+
+def test_sign_chain_with_a_quadratic_factor_matches_enumeration():
+    rng = random.Random(11)
+    linear = [sign_poly([c, lead]) for c in (-1, 0, 1) for lead in (-1, 1)]
+    quadratic = [sign_poly([c0, c1, lead])
+                 for c0 in (-1, 0, 1) for c1 in (-1, 0, 1) for lead in (-1, 1)]
+    members = 0
+    for _ in range(40):
+        fs = [rng.choice(linear), rng.choice(linear), rng.choice(quadratic)]
+        rng.shuffle(fs)
+        product = set(enumerate_product(fs))
+        lead = fs[0].lead * fs[1].lead * fs[2].lead
+        for combo in iter_product((-1, 0, 1), repeat=4):
+            r = sign_poly(combo + (lead,))
+            got = in_product(r, fs)
+            assert got == (r in product), (str(r), [str(q) for q in fs])
+            members += got
+    assert members > 200
+
+
 def test_enumerate_product_bound():
     factors = [sign_poly([1, 1])] * 13
     with pytest.raises(DegreeBoundExceeded):

@@ -1,7 +1,12 @@
 """The benchmark's tracer wraps library functions by name; every name it
-lists must exist, or a traced run fails before it measures anything."""
+lists must exist, or a traced run fails before it measures anything, and
+its per-path counters must count the path they are named after."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hyperpoly
@@ -26,3 +31,34 @@ def test_every_traced_layer_resolves():
             # the tracer replaces methods through the class's own __dict__
             scope = vars(getattr(module, owner)) if owner else vars(module)
             assert callable(scope.get(attr)), f"{module_name}.{name}"
+
+
+# runs in a fresh interpreter, because installing the tracer patches modules
+_COUNT_PATHS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import polynomials, sign_poly
+tracer = tracer_module.Tracer().install()
+counts = []
+t_plus = sign_poly([1, 1])
+for factors in ([t_plus, t_plus], [t_plus, t_plus, t_plus]):
+    before = tracer.snapshot()
+    assert polynomials.in_product(sign_poly([1] * len(factors) + [1]), factors)
+    after = tracer.snapshot()
+    counts.append({k: after[k] - before[k] for k in (
+        "polynomials.in_product.two_factor.calls", "polynomials._chain_member.calls")})
+print(json.dumps(counts))
+"""
+
+
+def test_in_product_path_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_PATHS, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    two, three = json.loads(out)
+    assert two == {"polynomials.in_product.two_factor.calls": 1,
+                   "polynomials._chain_member.calls": 0}
+    assert three == {"polynomials.in_product.two_factor.calls": 0,
+                     "polynomials._chain_member.calls": 1}
