@@ -12,7 +12,6 @@ deterministic: identical command lines produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .axioms import check_axioms
@@ -34,6 +33,8 @@ from .tropical import divide, factor, newton_polygon, render_newton_svg, roots_w
 
 
 def _dump(obj) -> str:
+    import json  # imported here, so that text output does not load it at start-up
+
     return json.dumps(obj, indent=2)
 
 

@@ -20,9 +20,7 @@ field, captured by a plain ``frozenset`` of ints.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable
 
 from .errors import EmptySumError, ResultTooLarge
@@ -47,9 +45,39 @@ __all__ = [
 ]
 
 
-@total_ordering
-@dataclass(frozen=True)
-class TropValue:
+class _Record:
+    """Immutable value with equality, hash and repr over its ``__slots__``.
+
+    Instances compare equal only to instances of the same type with equal
+    fields; assignment and deletion raise ``AttributeError``.  Subclasses
+    set their fields in ``__init__`` through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TropValue(_Record):
     """A tropical number: exp(exponent), or the zero when ``exponent`` is None.
 
     The total order puts zero below every finite value and orders finite
@@ -58,7 +86,10 @@ class TropValue:
     additive inverse).
     """
 
-    exponent: Fraction | None = None
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: Fraction | None = None):
+        object.__setattr__(self, "exponent", exponent)
 
     @classmethod
     def zero(cls) -> "TropValue":
@@ -66,6 +97,8 @@ class TropValue:
 
     @classmethod
     def log(cls, e) -> "TropValue":
+        if isinstance(e, float):
+            raise ValueError("tropical exponents must be exact rationals, not floats")
         return cls(Fraction(e))
 
     @classmethod
@@ -77,13 +110,19 @@ class TropValue:
             return cls(None)
         if isinstance(x, str) and x.strip() == "zero":
             return cls(None)
-        if isinstance(x, float):
-            raise ValueError("tropical exponents must be exact rationals, not floats")
-        return cls(Fraction(x))
+        return cls.log(x)
 
     @property
     def is_zero(self) -> bool:
         return self.exponent is None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponent == other.exponent
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.exponent,))
 
     def __mul__(self, other: "TropValue") -> "TropValue":
         if self.exponent is None or other.exponent is None:
@@ -117,6 +156,17 @@ class TropValue:
             return False
         return self.exponent < other.exponent
 
+    # The order is total, so >, <= and >= are each one call of __lt__, looked
+    # up on the class at call time so that a wrapper installed there counts it.
+    def __gt__(self, other: "TropValue") -> bool:
+        return TropValue.__lt__(other, self)
+
+    def __le__(self, other: "TropValue") -> bool:
+        return not TropValue.__lt__(other, self)
+
+    def __ge__(self, other: "TropValue") -> bool:
+        return not TropValue.__lt__(self, other)
+
     def sort_key(self):
         if self.exponent is None:
             return (0, Fraction(0))
@@ -133,21 +183,22 @@ TROP_ZERO = TropValue(None)
 TROP_ONE = TropValue(Fraction(0))
 
 
-@dataclass(frozen=True)
-class TropSubset:
+class TropSubset(_Record):
     """Value of a tropical hypersum: a singleton {top} or the interval [0, top].
 
     The two descriptions of {0} (singleton zero and degenerate interval)
     denote the same set; construction normalizes both to the interval
-    form so that dataclass equality is set equality.
+    form, so that two subsets are equal exactly when they denote the same
+    set.
     """
 
-    top: TropValue
-    interval: bool
+    __slots__ = ("top", "interval")
 
-    def __post_init__(self):
-        if self.top.is_zero and not self.interval:
-            object.__setattr__(self, "interval", True)
+    def __init__(self, top: TropValue, interval: bool):
+        if top.is_zero and not interval:
+            interval = True
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "interval", interval)
 
     @classmethod
     def singleton(cls, v: TropValue) -> "TropSubset":

@@ -17,7 +17,6 @@ Formatting is canonical: ``parse(format(p)) == p`` and
 
 from __future__ import annotations
 
-import json
 import re
 
 from .errors import PolynomialParseError
@@ -166,17 +165,15 @@ def parse_polynomial(text: str, field) -> Polynomial:
     if isinstance(field, str):
         field = field_by_name(field)
     stripped = text.strip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
+        import json  # imported here, so that other input does not load it at start-up
+
         try:
             data = json.loads(stripped)
         except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+            if stripped[0] == "[":
+                return _parse_bracket_array(stripped, field)
             raise PolynomialParseError(f"bad JSON polynomial: {exc}") from None
-        return poly_from_json(data, field)
-    if stripped.startswith("["):
-        try:
-            data = json.loads(stripped)
-        except ValueError:
-            return _parse_bracket_array(stripped, field)
         return poly_from_json(data, field)
     if field is SIGN:
         return _parse_sign_text(stripped)

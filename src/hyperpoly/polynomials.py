@@ -3,7 +3,9 @@
 A polynomial is a finite coefficient tuple ``c0..cn`` over one of the
 two fields, with trailing zeros trimmed so that ``cn`` is nonzero for
 every nonzero polynomial; the zero polynomial is the empty tuple and
-has degree ``NEG_INF``.
+has degree ``NEG_INF``.  ``Polynomial.__post_init__`` is the single
+normalising step (coefficients to a tuple, trailing zeros trimmed), and
+every construction runs it exactly once.
 
 The product of two polynomials is a *set*: its i-th coefficient ranges
 over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
@@ -29,13 +31,12 @@ both fields.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
 
 from .errors import DegreeBoundExceeded, ZeroOperandError
-from .fields import SIGN, TROPICAL, TropValue
+from .fields import SIGN, TROPICAL, TropValue, _Record
 
 __all__ = [
     "NEG_INF",
@@ -60,18 +61,29 @@ NEG_INF = float("-inf")
 DEFAULT_DEGREE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Immutable coefficient sequence c0..cn over a hyperfield."""
 
-    field: object
-    coeffs: tuple
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         cs = tuple(self.coeffs)
         while cs and self.field.is_zero(cs[-1]):
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.field is other.field and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @property
     def degree(self):

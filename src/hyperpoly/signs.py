@@ -37,7 +37,6 @@ holds no multiset above the largest degree that passed that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iter_product
 from types import MappingProxyType
@@ -48,7 +47,7 @@ from .errors import (
     InternalInvariantError,
     NotARootError,
 )
-from .fields import SIGN
+from .fields import SIGN, _Record
 from .parsing import format_polynomial
 from .polynomials import (
     DEFAULT_DEGREE_BOUND,
@@ -179,14 +178,16 @@ def classify_irreducibles(max_degree: int) -> list:
     return found
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """A multiset of monic irreducible factors with the unit and one
     arrangement (ordering plus nesting) that witnessed membership."""
 
-    factors: tuple
-    unit: int
-    witness_nesting: str
+    __slots__ = ("factors", "unit", "witness_nesting")
+
+    def __init__(self, factors: tuple, unit: int, witness_nesting: str):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "witness_nesting", witness_nesting)
 
     def to_json_dict(self) -> dict:
         return {

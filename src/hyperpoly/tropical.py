@@ -20,11 +20,10 @@ sign field, offering each position its maximal value or a lowered one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstantPolynomialError, InternalInvariantError, NotARootError
-from .fields import TROPICAL, TropValue, exact_str
+from .fields import TROPICAL, TropValue, _Record, exact_str
 from .polynomials import Polynomial, _linear_quotients, divides_linearly
 
 __all__ = [
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Record):
     """Lower convex hull data of a tropical polynomial.
 
     ``vertices`` lists (index, height) pairs; a ``None`` height marks a
@@ -51,9 +49,12 @@ class NewtonPolygon:
     degree.
     """
 
-    vertices: tuple
-    slopes: tuple
-    zero_root_multiplicity: int
+    __slots__ = ("vertices", "slopes", "zero_root_multiplicity")
+
+    def __init__(self, vertices: tuple, slopes: tuple, zero_root_multiplicity: int):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "zero_root_multiplicity", zero_root_multiplicity)
 
     def to_json_dict(self) -> dict:
         return {
@@ -63,14 +64,16 @@ class NewtonPolygon:
         }
 
 
-@dataclass(frozen=True)
-class RootLocus:
+class RootLocus(_Record):
     """A root with its multiplicity and 1-based start position in the
     nondecreasing root list."""
 
-    root: TropValue
-    multiplicity: int
-    start: int
+    __slots__ = ("root", "multiplicity", "start")
+
+    def __init__(self, root: TropValue, multiplicity: int, start: int):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "start", start)
 
 
 def _require_positive_degree(p: Polynomial):

@@ -280,3 +280,22 @@ def test_readme_examples(tmp_path):
         if argv[0] == "newton":
             assert json.loads(r.stdout) == json.loads(comments[-1])
     assert (tmp_path / "polygon.svg").read_text().startswith("<svg")
+
+
+# modules whose import cost a CLI call would pay on every start
+_COLD_START = """
+import io, sys
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+before = set(sys.modules)
+import hyperpoly, hyperpoly.cli
+print(*sorted(HEAVY & (set(sys.modules) - before)), sep=",")
+code = hyperpoly.cli.run(["divide", "--field", "sign", "--poly=T^3-T", "--root=1"],
+                         out=io.StringIO())
+print(code, *sorted(HEAVY & (set(sys.modules) - before)), sep=",")
+"""
+
+
+def test_cold_start_loads_no_heavy_modules():
+    r = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+                       env=ENV, check=True)
+    assert r.stdout == "\n0\n"

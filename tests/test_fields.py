@@ -138,6 +138,16 @@ def test_element_serialization_round_trip():
         TropValue.coerce(0.5)
 
 
+def test_log_refuses_floats_like_coerce():
+    for make in (TropValue.log, TropValue.coerce):
+        with pytest.raises(ValueError, match="exact rationals, not floats"):
+            make(0.5)
+    assert L(-2).exponent == Fraction(-2)
+    assert L(Fraction(1, 2)).exponent == Fraction(1, 2)
+    assert L("3/4").exponent == Fraction(3, 4)
+    assert TropValue(0.5).exponent == 0.5  # the raw constructor checks nothing
+
+
 def test_tropical_numerals_past_the_digit_limit_are_refused():
     # ordinary numerals parse as before; a numeral whose numerator or
     # denominator would have more than 4300 digits is refused unbuilt

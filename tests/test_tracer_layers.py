@@ -62,3 +62,38 @@ def test_in_product_path_counters():
                    "polynomials._chain_member.calls": 0}
     assert three == {"polynomials.in_product.two_factor.calls": 0,
                      "polynomials._chain_member.calls": 1}
+
+
+# the tracer wraps Polynomial.__post_init__ and TropValue.__lt__, so one
+# construction is one normalisation and each derived comparison one __lt__
+_COUNT_VALUE_OPS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import SIGN, Polynomial, TropValue
+tracer = tracer_module.Tracer().install()
+a, b = TropValue.log(1), TropValue.log(2)
+steps = {"construct": lambda: Polynomial(SIGN, (1, 0, 0)), "gt": lambda: a > b,
+         "le": lambda: a <= b, "ge": lambda: a >= b}
+counts = {}
+for name, step in steps.items():
+    before = tracer.snapshot()
+    step()
+    after = tracer.snapshot()
+    counts[name] = {k: after[k] - before[k] for k in (
+        "polynomials.Polynomial.__post_init__.calls", "fields.TropValue.__lt__.calls")}
+print(json.dumps(counts))
+"""
+
+
+def test_value_op_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_VALUE_OPS, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    counts = json.loads(out)
+    assert counts.pop("construct") == {"polynomials.Polynomial.__post_init__.calls": 1,
+                                       "fields.TropValue.__lt__.calls": 0}
+    for op, seen in counts.items():
+        assert seen == {"polynomials.Polynomial.__post_init__.calls": 0,
+                        "fields.TropValue.__lt__.calls": 1}, op
