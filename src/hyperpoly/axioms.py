@@ -13,7 +13,6 @@ entries, one list of counterexamples per law.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -46,6 +45,8 @@ def _fold_right(field, values):
 
 
 def _sample_tropical_triples(budget, seed):
+    import random  # loaded on first use: start-up stays small
+
     rng = random.Random(seed)
 
     def value():

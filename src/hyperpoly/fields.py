@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import EmptySumError, ResultTooLarge
 

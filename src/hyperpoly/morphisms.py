@@ -17,7 +17,6 @@ polynomials are Fraction lists.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .fields import SIGN, TROPICAL, TROP_ZERO, TropValue
@@ -154,6 +153,8 @@ def check_morphism_laws(morphism: str = "sign", trials: int = 200, seed: int = 0
     whenever b = sum(a_i) in the source, f(b) lies in the hypersum of
     the f(a_i).
     """
+    import random  # loaded on first use: start-up stays small
+
     fmap, field, rand_elem, _, _, fmt = _MORPHISMS[morphism]
     rng = random.Random(seed)
     add = (lambda a, b: a + b) if morphism == "sign" else laurent_add
@@ -191,6 +192,8 @@ def check_pushforward_lemma(trials: int = 500, seed: int = 0,
     underlying statement holds in general, so any failure recorded here
     indicates an implementation bug.
     """
+    import random  # loaded on first use: start-up stays small
+
     fmap, field, _, rand_poly, poly_mul, fmt = _MORPHISMS[morphism]
     rng = random.Random(seed)
     failures = []

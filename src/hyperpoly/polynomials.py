@@ -16,8 +16,11 @@ ending in the two-factor row check.  A sign step tries every member of
 the two-factor product, so that search is exhaustive.  A tropical
 intermediate coefficient lies in a singleton or an interval [0, top]; a
 step tries the top first, then tie values derived from the target and
-the remaining factors.  That search can miss members.  It refuses a
-target above the all-tops chain at once, and a product of linear
+the remaining factors.  That search runs on exponents scaled by the
+lcm of their denominators: the scaling turns every exponent into an
+int and keeps order and sums, so the search adds and compares plain
+ints and decides what it would on Fractions.  It can miss members.  It
+refuses a target above the all-tops chain at once, and a product of linear
 factors is decided by the exact closed-form criterion (each coefficient
 bounded by the product of the larger roots, with equality forced at
 strict root increases).
@@ -30,10 +33,9 @@ both fields.
 
 from __future__ import annotations
 
+import math
 import warnings
-from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Iterable, Sequence
 
 from .errors import DegreeBoundExceeded, ZeroOperandError
 from .fields import SIGN, TROPICAL, TropValue, _Record
@@ -338,74 +340,137 @@ def _linear_tropical_member(r: Polynomial, fs) -> bool:
 def _chain_member(r: Polynomial, fs) -> bool:
     """Depth-first search over the intermediate coefficient tuples: a sign
     step tries the members of the two-factor product, a tropical step the
-    candidates of ``_tropical_options``, and the last step checks r row by row."""
-    f = r.field
+    candidates of ``_tropical_options``, and the last step checks r row by row.
+
+    The tropical search runs on ``_scaled`` exponents, plain ints."""
     last = len(fs) - 1
-    if f is TROPICAL:
+    if r.field is TROPICAL:
+        target, coeffs = _scaled(r, fs)
         # every member lies coefficientwise below the all-tops chain
-        tops = fs[0]
-        for q in fs[1:]:
-            tops = Polynomial(f, tuple(s.top for s in _product_rows(tops, q)))
-        if any(t < c for t, c in zip(tops.coeffs, r.coeffs)):
+        tops = coeffs[0]
+        for d in coeffs[1:]:
+            tops = tuple(top for top, _ in _scaled_rows(tops, d))
+        if not all(_at_most(c, t) for c, t in zip(target, tops)):
             return False
-        anchor_pool = _tropical_anchor_pool(r, fs)
+        anchor_pool = _tropical_anchor_pool(target, coeffs)
+
+        def children(cs, idx):
+            rows = list(_scaled_rows(cs, coeffs[idx]))
+            return iter_product(*_tropical_options(rows, anchor_pool[idx], coeffs[idx + 1]))
+
+        def is_last_link(cs):
+            return len(cs) + len(coeffs[last]) == len(target) + 1 and all(
+                _at_most(c, top) if tied else c == top
+                for c, (top, tied) in zip(target, _scaled_rows(cs, coeffs[last])))
+    else:
+        coeffs = [q.coeffs for q in fs]
+
+        def children(cs, idx):
+            return _product_members(cs, coeffs[idx])
+
+        def is_last_link(cs):
+            return _in_rows(r, Polynomial(SIGN, cs), fs[last])
+
     seen = set()  # (step, intermediate) pairs already explored without success
 
     def step(cs: tuple, idx: int) -> bool:
         if (idx, cs) in seen:
             return False
         if idx == last:
-            found = _in_rows(r, Polynomial(f, cs), fs[idx])
-        elif f is SIGN:
-            found = any(step(w, idx + 1) for w in _product_members(cs, fs[idx].coeffs))
+            found = is_last_link(cs)
         else:
-            rows = _product_rows(Polynomial(f, cs), fs[idx])
-            options = _tropical_options(rows, anchor_pool[idx], fs[idx + 1])
-            found = any(step(w, idx + 1) for w in iter_product(*options))
+            found = any(step(w, idx + 1) for w in children(cs, idx))
         if not found:
             seen.add((idx, cs))
         return found
 
-    return step(fs[0].coeffs, 1)
+    return step(coeffs[0], 1)
 
 
-def _tropical_options(rows, anchors, next_factor) -> list:
+def _scaled(r: Polynomial, fs):
+    """The coefficients of r and of the factors as tuples of ints.
+
+    An exponent e becomes e * L, with L the lcm of the denominators of
+    all exponents, and the zero becomes None.  The map preserves order
+    and sums, and the search only adds, subtracts and compares exponents,
+    so it decides on these ints exactly what it would on the Fractions.
+    """
+    polys = (r, *fs)
+    scale = math.lcm(*{c.exponent.denominator for p in polys for c in p.coeffs
+                       if c.exponent is not None})
+
+    def encode(p):
+        return tuple(None if c.exponent is None
+                     else c.exponent.numerator * (scale // c.exponent.denominator)
+                     for c in p.coeffs)
+
+    return encode(r), [encode(q) for q in fs]
+
+
+def _at_most(c, top) -> bool:
+    """c <= top for scaled exponents, None (the zero) lowest."""
+    return c is None or (top is not None and c <= top)
+
+
+def _scaled_rows(a: tuple, b: tuple):
+    """The rows of the tropical product of scaled coefficient tuples a and b,
+    generated in index order so that a failing row check stops early.
+
+    Row i is (top, tied): the maximum of the cross terms (None for the
+    zero), and whether the row is the interval [0, top] rather than the
+    singleton {top}, that is, whether the maximum is attained twice or
+    every term is zero.
+    """
+    n, m = len(a) - 1, len(b) - 1
+    for i in range(n + m + 1):
+        top, tied = None, True
+        for k in range(i - m if i > m else 0, (i if i < n else n) + 1):
+            x, y = a[k], b[i - k]
+            if x is None or y is None:
+                continue
+            s = x + y
+            if top is None or s > top:
+                top, tied = s, False
+            elif s == top:
+                tied = True
+        yield top, tied
+
+
+def _tropical_options(rows, anchors, next_coeffs) -> list:
     """Candidates per coefficient of a tropical intermediate: an interval row
     tries its top, then ties against ``anchors`` (target-derived), against
-    the singleton rows and the next factor's cross-term ratios, then zero."""
+    the singleton rows and the next factor's cross-term ratios, then zero.
+    Rows come from ``_scaled_rows``, and candidates are scaled exponents."""
     anchors = set(anchors)
-    anchors.update(s.top.exponent for s in rows if not s.interval and not s.top.is_zero)
-    next_exps = [c.exponent for c in next_factor.coeffs if not c.is_zero]
+    anchors.update(top for top, tied in rows if not tied)
+    next_exps = [e for e in next_coeffs if e is not None]
     ratios = {l1 - l2 for l1 in next_exps for l2 in next_exps}
     ties = {a + d for a in anchors for d in ratios} | anchors
     out = []
-    for row in rows:
-        if not row.interval:
-            out.append([row.top])
-            continue
-        cands = [row.top]
-        cands.extend(sorted((TropValue(v) for v in ties
-                             if TROPICAL.zero < TropValue(v) < row.top), reverse=True))
-        cands.append(TROPICAL.zero)
-        out.append(cands)
+    for top, tied in rows:
+        if not tied:
+            out.append((top,))
+        elif top is None:
+            out.append((None,))  # the row is {zero}
+        else:
+            out.append([top, *sorted((v for v in ties if v < top), reverse=True), None])
     return out
 
 
-def _tropical_anchor_pool(r: Polynomial, fs):
-    """Target coefficients pulled back through the factors still to come.
+def _tropical_anchor_pool(target: tuple, coeffs) -> dict:
+    """Target exponents pulled back through the factors still to come.
 
     A coefficient of the intermediate built at step ``idx`` reaches the
     final rows multiplied by one coefficient of each later factor, so
     the exponents that can tie against a target coefficient are the
-    target exponents minus such chain sums.
+    target exponents minus such chain sums.  All values are scaled.
     """
     pools = {}
-    targets = [c.exponent for c in r.coeffs if not c.is_zero]
-    for idx in range(1, len(fs) - 1):
-        chain_sums = {Fraction(0)}
-        for q in fs[idx + 1:]:
-            exps = [c.exponent for c in q.coeffs if not c.is_zero]
-            chain_sums = {s + e for s in chain_sums for e in exps}
+    targets = [c for c in target if c is not None]
+    for idx in range(1, len(coeffs) - 1):
+        chain_sums = {0}
+        for d in coeffs[idx + 1:]:
+            chain_sums = {s + e for s in chain_sums for e in d if e is not None}
         pools[idx] = {t - s for t in targets for s in chain_sums}
     return pools
 

@@ -15,7 +15,11 @@ split-search definitions, built on the library's ``is_root``,
 those against the raw enumerations here.  The tropical quotient search
 oracle likewise perturbs ``divide``'s answer and keeps what the
 library's relation check ``is_quotient`` accepts; the tests check that
-check against the definition separately.
+check against the definition separately.  The tropical chain reference
+is the library's tropical chain search written on ``TropValue``
+coefficients through ``_product_rows`` and ``_in_rows``, where the
+library runs it on integer-scaled exponents; the tests require the same
+verdict from both.
 """
 
 from fractions import Fraction
@@ -25,7 +29,7 @@ from itertools import product as iter_product
 
 from hyperpoly import (SIGN, TROPICAL, Polynomial, TropValue, all_quotients_sign, divide,
                        is_quotient, is_root, poly_sort_key)
-from hyperpoly.polynomials import _product_rows
+from hyperpoly.polynomials import _in_rows, _product_rows
 
 # the binary sign hyperaddition, written out
 SIGN_TABLE = {
@@ -267,3 +271,75 @@ def brute_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
                 if cand.degree == top.degree and is_quotient(p, a, cand):
                     found.add(cand)
     return sorted(found, key=poly_sort_key)
+
+
+def reference_tropical_chain_member(r, fs):
+    """The tropical branch of ``polynomials._chain_member`` on TropValue
+    coefficients: refuse a target above the all-tops chain, then search
+    the intermediates depth first over ``reference_tropical_options``."""
+    f = r.field
+    last = len(fs) - 1
+    # every member lies coefficientwise below the all-tops chain
+    tops = fs[0]
+    for q in fs[1:]:
+        tops = Polynomial(f, tuple(s.top for s in _product_rows(tops, q)))
+    if any(t < c for t, c in zip(tops.coeffs, r.coeffs)):
+        return False
+    anchor_pool = reference_tropical_anchor_pool(r, fs)
+    seen = set()  # (step, intermediate) pairs already explored without success
+
+    def step(cs: tuple, idx: int) -> bool:
+        if (idx, cs) in seen:
+            return False
+        if idx == last:
+            found = _in_rows(r, Polynomial(f, cs), fs[idx])
+        else:
+            rows = _product_rows(Polynomial(f, cs), fs[idx])
+            options = reference_tropical_options(rows, anchor_pool[idx], fs[idx + 1])
+            found = any(step(w, idx + 1) for w in iter_product(*options))
+        if not found:
+            seen.add((idx, cs))
+        return found
+
+    return step(fs[0].coeffs, 1)
+
+
+def reference_tropical_options(rows, anchors, next_factor) -> list:
+    """Candidates per coefficient of a tropical intermediate: an interval row
+    tries its top, then ties against ``anchors`` (target-derived), against
+    the singleton rows and the next factor's cross-term ratios, then zero."""
+    anchors = set(anchors)
+    anchors.update(s.top.exponent for s in rows if not s.interval and not s.top.is_zero)
+    next_exps = [c.exponent for c in next_factor.coeffs if not c.is_zero]
+    ratios = {l1 - l2 for l1 in next_exps for l2 in next_exps}
+    ties = {a + d for a in anchors for d in ratios} | anchors
+    out = []
+    for row in rows:
+        if not row.interval:
+            out.append([row.top])
+            continue
+        cands = [row.top]
+        cands.extend(sorted((TropValue(v) for v in ties
+                             if TROPICAL.zero < TropValue(v) < row.top), reverse=True))
+        cands.append(TROPICAL.zero)
+        out.append(cands)
+    return out
+
+
+def reference_tropical_anchor_pool(r, fs):
+    """Target coefficients pulled back through the factors still to come.
+
+    A coefficient of the intermediate built at step ``idx`` reaches the
+    final rows multiplied by one coefficient of each later factor, so
+    the exponents that can tie against a target coefficient are the
+    target exponents minus such chain sums.
+    """
+    pools = {}
+    targets = [c.exponent for c in r.coeffs if not c.is_zero]
+    for idx in range(1, len(fs) - 1):
+        chain_sums = {Fraction(0)}
+        for q in fs[idx + 1:]:
+            exps = [c.exponent for c in q.coeffs if not c.is_zero]
+            chain_sums = {s + e for s in chain_sums for e in exps}
+        pools[idx] = {t - s for t in targets for s in chain_sums}
+    return pools

@@ -4,21 +4,36 @@ For integer-exponent inputs every tie in the constraint system happens
 at an integer, so a half-step grid over a wide enough range (plus zero)
 hits a witness whenever one exists: integer points cover the ties and
 half-integer points cover the open interiors.  That makes the oracle
-below complete on such instances, at brute-force cost.  The last tests
-pin the search's known limits: targets above the all-tops chain, and
-two four-factor members it misses.
+below complete on such instances, at brute-force cost.  The search
+runs on exponents scaled to integers; the differential tests compare it
+with the same search on TropValue coefficients, over fractional
+exponents the grid does not cover.  The last tests pin the search's
+known limits: targets above the all-tops chain, and two four-factor
+members it misses.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hyperpoly
 from hyperpoly import Polynomial, TROPICAL, TropValue, in_product, trop_poly
-from hyperpoly.parsing import parse_polynomial
-from hyperpoly.polynomials import _product_rows
+from hyperpoly.parsing import format_polynomial, parse_polynomial
+from hyperpoly.polynomials import (_chain_member, _product_rows, _scaled, _scaled_rows,
+                                   _tropical_anchor_pool, _tropical_options)
+
+from oracles import (reference_tropical_anchor_pool, reference_tropical_chain_member,
+                     reference_tropical_options)
 
 L = TropValue.log
 Z = TropValue.zero()
@@ -177,3 +192,121 @@ def test_missed_member_witness_checks_out_link_by_link(target, factors, chain):
 @pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
 def test_missed_member_is_found(target, factors, chain):
     assert in_product(parse_polynomial(target, TROPICAL), _parse_all(factors))
+
+
+# exponents with denominators 1-7; None is the tropical zero
+EXPONENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+STEPS = st.builds(Fraction, st.integers(1, 6), st.integers(1, 7))
+COEFFS = st.one_of(st.none(), EXPONENTS)
+
+
+@st.composite
+def tropical_factor(draw):
+    degree = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(COEFFS, min_size=degree, max_size=degree)) + [draw(EXPONENTS)]
+    return trop_poly(coeffs)
+
+
+def _draw_member(draw, row):
+    """A member of a row of ``_product_rows``: its top, or for an interval
+    also zero or a value below the top."""
+    if not row.interval or row.top.is_zero:
+        return row.top
+    choice = draw(st.sampled_from(("top", "zero", "below")))
+    if choice == "below":
+        return TropValue(row.top.exponent - draw(STEPS))
+    return row.top if choice == "top" else TROPICAL.zero
+
+
+@st.composite
+def chain_question(draw):
+    """Factors and a target: the end of an explicit chain, or the all-tops
+    chain with middle coefficients lowered, or with one raised."""
+    fs = draw(st.lists(tropical_factor(), min_size=3, max_size=4))
+    mode = draw(st.sampled_from(("chain", "lowered", "raised")))
+    current = fs[0]
+    for q in fs[1:]:
+        rows = _product_rows(current, q)
+        if mode == "chain":
+            current = Polynomial(TROPICAL, tuple(_draw_member(draw, row) for row in rows))
+        else:
+            current = Polynomial(TROPICAL, tuple(row.top for row in rows))
+    cs = list(current.coeffs)
+    middle = range(1, len(cs) - 1)
+    if mode == "lowered":
+        for i in draw(st.sets(st.sampled_from(middle), min_size=1)):
+            cs[i] = (TROPICAL.zero if cs[i].is_zero or draw(st.booleans())
+                     else TropValue(cs[i].exponent - draw(STEPS)))
+    elif mode == "raised":
+        i = draw(st.sampled_from(middle))
+        step = draw(STEPS)
+        cs[i] = TropValue(step if cs[i].is_zero else cs[i].exponent + step)
+    return Polynomial(TROPICAL, tuple(cs)), fs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(chain_question())
+def test_scaled_search_matches_the_tropvalue_reference(question):
+    r, fs = question
+    assert _chain_member(r, fs) == reference_tropical_chain_member(r, fs), (
+        str(r), [str(q) for q in fs])
+    # the first step offers the same candidates in the same order, scaled,
+    # except that a row {zero} offers zero once
+    scale = lcm(*(c.exponent.denominator for p in (r, *fs) for c in p.coeffs if not c.is_zero))
+    want = [[None if v.is_zero else v.exponent * scale for v in cands]
+            for cands in reference_tropical_options(
+                _product_rows(fs[0], fs[1]), reference_tropical_anchor_pool(r, fs)[1], fs[2])]
+    want = [[None] if cands == [None, None] else cands for cands in want]
+    target, coeffs = _scaled(r, fs)
+    got = _tropical_options(list(_scaled_rows(coeffs[0], coeffs[1])),
+                            _tropical_anchor_pool(target, coeffs)[1], coeffs[2])
+    assert [list(cands) for cands in got] == want
+
+
+# 2^a - 1 and 2^b - 1 are coprime for coprime a and b: each of these has
+# 157 to 664 digits, and their lcm has 1,388
+HOSTILE = [2**p - 1 for p in (521, 607, 1279, 2203)]
+
+
+def _hostile_question(seed):
+    rng = random.Random(seed)
+
+    def exponent():
+        return rng.randint(-2, 2) + Fraction(rng.choice((-2, -1, 1, 2)), rng.choice(HOSTILE))
+
+    fs = [trop_poly([exponent() for _ in range(3)]) for _ in range(3)]
+    tops = fs[0]
+    for q in fs[1:]:
+        tops = Polynomial(TROPICAL, tuple(row.top for row in _product_rows(tops, q)))
+    cs = list(tops.coeffs)
+    i = rng.randrange(1, len(cs) - 1)
+    nudge = Fraction(rng.choice((-1, 1)), rng.choice(HOSTILE))
+    cs[i] = rng.choice((TROPICAL.zero, TropValue(cs[i].exponent + nudge)))
+    return rng.choice((tops, Polynomial(TROPICAL, tuple(cs)))), fs
+
+
+def test_hostile_denominators_match_the_reference():
+    members = 0
+    for seed in range(30):
+        r, fs = _hostile_question(seed)
+        scale = lcm(*(c.exponent.denominator for p in (r, *fs) for c in p.coeffs
+                      if not c.is_zero))
+        assert len(str(scale)) > 700
+        want = reference_tropical_chain_member(r, fs)
+        assert _chain_member(r, fs) == want, seed
+        assert in_product(r, fs) == want, seed
+        members += want
+    assert 0 < members < 30
+
+
+def test_check_product_with_hostile_denominators():
+    r, fs = _hostile_question(0)
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "hyperpoly", "check-product", "--field", "tropical",
+         f"--poly={format_polynomial(r)}", "--factors=" + ";".join(map(format_polynomial, fs))],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{str(in_product(r, fs)).lower()}\n"
+    assert out.stderr == ""

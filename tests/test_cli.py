@@ -299,3 +299,9 @@ def test_cold_start_loads_no_heavy_modules():
     r = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True,
                        env=ENV, check=True)
     assert r.stdout == "\n0\n"
+    # without site, whose start-up files may import them first, the package
+    # itself must load neither typing nor random
+    code = _COLD_START.replace('HEAVY = {', 'HEAVY = {"typing", "random", ')
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env=ENV, check=True)
+    assert r.stdout == "\n0\n"

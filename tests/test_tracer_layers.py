@@ -64,6 +64,37 @@ def test_in_product_path_counters():
                      "polynomials._chain_member.calls": 1}
 
 
+# a three-factor tropical membership decided by the chain search, which
+# runs on scaled integer exponents: no row sets, no hypersums
+_COUNT_TROPICAL_CHAIN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import polynomials, trop_poly
+tracer = tracer_module.Tracer().install()
+factors = [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])]
+target = trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"])
+before = tracer.snapshot()
+member = polynomials.in_product(target, factors)
+after = tracer.snapshot()
+print(json.dumps([member, {k: after[k] - before[k] for k in (
+    "polynomials._chain_member.calls", "polynomials._product_rows.calls",
+    "fields.trop_hyperadd.calls")}]))
+"""
+
+
+def test_tropical_chain_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_TROPICAL_CHAIN, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    member, counts = json.loads(out)
+    assert member is True
+    assert counts == {"polynomials._chain_member.calls": 1,
+                      "polynomials._product_rows.calls": 0,
+                      "fields.trop_hyperadd.calls": 0}
+
+
 # the tracer wraps Polynomial.__post_init__ and TropValue.__lt__, so one
 # construction is one normalisation and each derived comparison one __lt__
 _COUNT_VALUE_OPS = """
