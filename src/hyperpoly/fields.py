@@ -20,6 +20,7 @@ field, captured by a plain ``frozenset`` of ints.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import EmptySumError, ResultTooLarge

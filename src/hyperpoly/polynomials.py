@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Iterable, Sequence
 from itertools import product as iter_product
 
 from .errors import DegreeBoundExceeded, ZeroOperandError

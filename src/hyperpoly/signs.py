@@ -4,8 +4,9 @@ sign polynomials.
 Everything here is exact computation over {-1, 0, 1}.  Three operations
 are closed forms from the source paper and run in O(n):
 
-* division by a linear term runs a four-case recursion keyed to the
-  lowest nonzero coefficient and the first sign flip;
+* division by a linear term reads the terms c_i * a^i once: both signs
+  occur among them exactly at a root, and the first term opposite to
+  the lowest nonzero one splits a two-range recursion;
 * root multiplicity is Descartes' rule of signs: the multiplicity of 1
   is the number of sign changes in the nonzero coefficients, that of -1
   the same count for p(-T), and that of 0 the lowest nonzero index;
@@ -41,12 +42,7 @@ from functools import cache
 from itertools import product as iter_product
 from types import MappingProxyType
 
-from .errors import (
-    ConstantPolynomialError,
-    DegreeBoundExceeded,
-    InternalInvariantError,
-    NotARootError,
-)
+from .errors import ConstantPolynomialError, DegreeBoundExceeded, NotARootError
 from .fields import SIGN, _Record
 from .parsing import format_polynomial
 from .polynomials import (
@@ -93,15 +89,14 @@ def _check_sign_value(a):
 def divide_sign(p: Polynomial, a: int) -> Polynomial:
     """A quotient q with p in (T - a) * q, for a root a of p.
 
-    For a = 0 the quotient is the coefficient shift.  For a = +/-1 let l
-    be the lowest nonzero coefficient index and k the first index whose
-    successor coefficient flips sign against c_l (relative to powers of
-    a); then, descending from i = n-1:
+    For a = 0 the quotient is the coefficient shift.  For a = +/-1 the
+    terms c_i * a^i decide the root (both signs occur among them) and
+    split the recursion: let l be the lowest nonzero term and j the first
+    term of the opposite sign.  Then
 
-    * d_i = c_{i+1}          if c_{i+1} != 0 and i > k
-    * d_i = a * d_{i+1}      if c_{i+1} == 0 and i > k
-    * d_i = -a^{i+1-l} * c_l if l <= i <= k
-    * d_i = 0                if i < l
+    * d_i = c_{i+1} if c_{i+1} != 0, else a * d_{i+1}, for i = n-1 down to j
+    * d_l = -a * c_l and d_i = a * d_{i-1}, for l < i < j
+    * d_i = 0 below l
     """
     _check_sign_value(a)
     if p.is_zero or p.degree < 1:
@@ -114,25 +109,19 @@ def divide_sign(p: Polynomial, a: int) -> Polynomial:
             raise NotARootError("0 is not a root (the constant coefficient is nonzero)")
         return Polynomial(SIGN, c[1:])
 
-    if not is_root(p, a):
+    terms = [ci * a ** i for i, ci in enumerate(c)]
+    if not SIGN.contains(0, terms):
         raise NotARootError(f"{a} is not a root of the polynomial")
-
-    l = next(i for i, v in enumerate(c) if v != 0)
-    k = None
-    for i in range(n):
-        if c[i + 1] == -SIGN.pow(a, i + 1 - l) * c[l]:
-            k = i
-            break
-    if k is None:
-        raise InternalInvariantError("no sign flip found although a is a root")
+    l = next(i for i, t in enumerate(terms) if t)
+    j = terms.index(-terms[l], l)
 
     d = [0] * n
-    for i in range(n - 1, -1, -1):
-        if i > k:
-            d[i] = c[i + 1] if c[i + 1] != 0 else a * d[i + 1]
-        elif i >= l:
-            d[i] = -SIGN.pow(a, i + 1 - l) * c[l]
-        # below l the coefficients stay 0
+    for i in range(n - 1, j - 1, -1):  # c_n != 0, so d_{n-1} = c_n
+        d[i] = c[i + 1] if c[i + 1] else a * d[i + 1]
+    low = -a * c[l]
+    for i in range(l, j):
+        d[i] = low
+        low *= a
     return Polynomial(SIGN, tuple(d))
 
 

@@ -8,10 +8,11 @@ log coordinate of one root, and every leading zero coefficient
 contributes one zero root.  Zero coefficients elsewhere impose no
 constraint on the hull and are simply omitted from its input.
 
-Division by a linear term T + a follows a three-step recursion: the
-coefficients above the divided root locus descend from the leading one,
-the coefficients below climb from the constant one, and the locus
-itself is filled with explicit suffix products of the roots.  The
+Division by a linear term T + a reads everything it needs off the
+terms c_i * a^i: a is a root when their maximum is attained twice, and
+the first index attaining it, the left end of a's hull segment, splits
+a two-range recursion.  The coefficients from there up descend from the
+leading one, and those below climb from the constant one.  The
 result is the coefficientwise-maximal polynomial q with p in (T+a)*q;
 the quotient is unique exactly when all roots are simple.  Quotients
 near the maximal one are searched by the quotient walk shared with the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstantPolynomialError, InternalInvariantError, NotARootError
+from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
 from .polynomials import Polynomial, _linear_quotients, divides_linearly
 
@@ -107,45 +108,36 @@ def newton_polygon(p: Polynomial) -> NewtonPolygon:
 
 
 def roots_with_multiplicities(p: Polynomial) -> list:
-    """The sorted root loci of p (zero roots first, then hull slopes)."""
+    """The sorted root loci of p: the zero root first, then one locus per
+    hull segment, whose slope is the root and whose width its multiplicity."""
     polygon = newton_polygon(p)
-    roots = [TropValue.zero()] * polygon.zero_root_multiplicity
-    roots.extend(TropValue(s) for s in polygon.slopes)
-    loci = []
-    pos = 0
-    while pos < len(roots):
-        end = pos
-        while end < len(roots) and roots[end] == roots[pos]:
-            end += 1
-        loci.append(RootLocus(roots[pos], end - pos, pos + 1))
-        pos = end
+    zero_mult = polygon.zero_root_multiplicity
+    loci = [RootLocus(TropValue.zero(), zero_mult, 1)] if zero_mult else []
+    hull = polygon.vertices[zero_mult:]
+    for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
+        loci.append(RootLocus(TropValue(Fraction(h2 - h1, i2 - i1)), i2 - i1, i1 + 1))
     return loci
-
-
-def _sorted_roots(p: Polynomial) -> list:
-    out = []
-    for locus in roots_with_multiplicities(p):
-        out.extend([locus.root] * locus.multiplicity)
-    return out
 
 
 def factor(p: Polynomial):
     """Unique factorization: the unit c_n and the linear factors T + a_i, ascending."""
     _require_positive_degree(p)
-    factors = [Polynomial(TROPICAL, (a, TROPICAL.one)) for a in _sorted_roots(p)]
+    factors = []
+    for locus in roots_with_multiplicities(p):
+        factors.extend([Polynomial(TROPICAL, (locus.root, TROPICAL.one))] * locus.multiplicity)
     return p.lead, factors
 
 
 def divide(p: Polynomial, a: TropValue) -> Polynomial:
     """The maximal q with p in (T + a) * q; raises NotARootError otherwise.
 
-    A zero root shifts the coefficients down by one.  For a nonzero root
-    of multiplicity m starting at position k in the sorted root list,
-    the recursion runs in three ranges:
+    A zero root shifts the coefficients down by one.  A nonzero a is a
+    root when the maximum of the terms c_i * a^i is attained twice; let j
+    be the first index attaining it, the left end of a's hull segment.
+    The recursion runs in two ranges that meet at j:
 
-    * i = n-1 down to k+m-1:  d_i = max(c_{i+1}, a * d_{i+1})
-    * i = 1 up to k-2:        d_i = max(c_i / a, d_{i-1} / a), after d_0 = c_0 / a
-    * i = k-1 .. k+m-2:       d_i = a_{i+2} * ... * a_n * c_n
+    * i = n-1 down to j:  d_i = max(c_{i+1}, a * d_{i+1}), after d_{n-1} = c_n
+    * i = 0 up to j-1:    d_i = max(c_i, d_{i-1}) / a, after d_0 = c_0 / a
     """
     _require_positive_degree(p)
     n = p.degree
@@ -156,33 +148,19 @@ def divide(p: Polynomial, a: TropValue) -> Polynomial:
             raise NotARootError("zero is not a root (the constant coefficient is nonzero)")
         return Polynomial(TROPICAL, c[1:])
 
-    roots = _sorted_roots(p)
-    if a not in roots:
+    terms = [ci * a ** i for i, ci in enumerate(c)]
+    if not TROPICAL.contains(TROPICAL.zero, terms):
         raise NotARootError(f"{a} is not a root of the polynomial")
-    k = roots.index(a) + 1
-    m = roots.count(a)
+    j = terms.index(max(terms))
 
-    inv_a = a.inv()
     d = [None] * n
-
-    if k <= n - m:
-        d[n - 1] = c[n]
-        for i in range(n - 2, k + m - 2, -1):
-            d[i] = max(c[i + 1], a * d[i + 1])
-    if k >= 2:
-        d[0] = inv_a * c[0]
-        for i in range(1, k - 1):
-            d[i] = max(inv_a * c[i], inv_a * d[i - 1])
-    suffix = c[n]
-    products = [suffix]  # products[j] = a_{n-j+1} * ... * a_n * c_n
-    for root in reversed(roots):
-        suffix = suffix * root
-        products.append(suffix)
-    for i in range(k - 1, k + m - 1):
-        d[i] = products[n - i - 1]  # a_{i+2} * ... * a_n * c_n
-
-    if any(v is None for v in d):
-        raise InternalInvariantError("division recursion left a coefficient unset")
+    d[n - 1] = c[n]
+    for i in range(n - 2, j - 1, -1):
+        # on a's own segment c_{i+1} <= a * d_{i+1}, so this is the suffix product
+        d[i] = max(c[i + 1], a * d[i + 1])
+    below, inv_a = TROPICAL.zero, a.inv()
+    for i in range(j):
+        d[i] = below = inv_a * max(c[i], below)
     return Polynomial(TROPICAL, tuple(d))
 
 

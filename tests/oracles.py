@@ -19,7 +19,13 @@ check against the definition separately.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
 coefficients through ``_product_rows`` and ``_in_rows``, where the
 library runs it on integer-scaled exponents; the tests require the same
-verdict from both.
+verdict from both.  The two division references reach the same
+quotients another way: tropical division by the sorted root list
+expanded from the Newton polygon, and sign division by a root test
+followed by a second scan for the first sign flip.  They call the library's
+``newton_polygon`` and ``is_root``, which the divisions themselves no
+longer use: those read the root test and the split off one list of
+terms.  The tests require the same quotient or the same error from both.
 """
 
 from fractions import Fraction
@@ -27,8 +33,9 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iter_product
 
-from hyperpoly import (SIGN, TROPICAL, Polynomial, TropValue, all_quotients_sign, divide,
-                       is_quotient, is_root, poly_sort_key)
+from hyperpoly import (SIGN, TROPICAL, ConstantPolynomialError, InternalInvariantError,
+                       NotARootError, Polynomial, TropValue, all_quotients_sign, divide,
+                       is_quotient, is_root, newton_polygon, poly_sort_key)
 from hyperpoly.polynomials import _in_rows, _product_rows
 
 # the binary sign hyperaddition, written out
@@ -343,3 +350,106 @@ def reference_tropical_anchor_pool(r, fs):
             chain_sums = {s + e for s in chain_sums for e in exps}
         pools[idx] = {t - s for t in targets for s in chain_sums}
     return pools
+
+
+def _reference_sorted_roots(p):
+    """The roots of p in nondecreasing order, expanded from the Newton
+    polygon's per-unit-step slopes: the zero roots first."""
+    polygon = newton_polygon(p)
+    return ([TropValue.zero()] * polygon.zero_root_multiplicity
+            + [TropValue(s) for s in polygon.slopes])
+
+
+def reference_divide(p, a):
+    """``tropical.divide`` by the sorted root list: for a nonzero root of
+    multiplicity m starting at position k, the coefficients above its
+    locus descend from c_n, those below climb from c_0, and the locus is
+    filled with explicit suffix products of the roots.
+
+    * i = n-1 down to k+m-1:  d_i = max(c_{i+1}, a * d_{i+1})
+    * i = 1 up to k-2:        d_i = max(c_i / a, d_{i-1} / a), after d_0 = c_0 / a
+    * i = k-1 .. k+m-2:       d_i = a_{i+2} * ... * a_n * c_n
+    """
+    if p.is_zero or p.degree < 1:
+        raise ConstantPolynomialError("a polynomial of degree >= 1 is required")
+    n = p.degree
+    c = p.coeffs
+
+    if a.is_zero:
+        if not c[0].is_zero:
+            raise NotARootError("zero is not a root (the constant coefficient is nonzero)")
+        return Polynomial(TROPICAL, c[1:])
+
+    roots = _reference_sorted_roots(p)
+    if a not in roots:
+        raise NotARootError(f"{a} is not a root of the polynomial")
+    k = roots.index(a) + 1
+    m = roots.count(a)
+
+    inv_a = a.inv()
+    d = [None] * n
+
+    if k <= n - m:
+        d[n - 1] = c[n]
+        for i in range(n - 2, k + m - 2, -1):
+            d[i] = max(c[i + 1], a * d[i + 1])
+    if k >= 2:
+        d[0] = inv_a * c[0]
+        for i in range(1, k - 1):
+            d[i] = max(inv_a * c[i], inv_a * d[i - 1])
+    suffix = c[n]
+    products = [suffix]  # products[j] = a_{n-j+1} * ... * a_n * c_n
+    for root in reversed(roots):
+        suffix = suffix * root
+        products.append(suffix)
+    for i in range(k - 1, k + m - 1):
+        d[i] = products[n - i - 1]  # a_{i+2} * ... * a_n * c_n
+
+    if any(v is None for v in d):
+        raise InternalInvariantError("division recursion left a coefficient unset")
+    return Polynomial(TROPICAL, tuple(d))
+
+
+def reference_divide_sign(p, a):
+    """``signs.divide_sign`` by a root test and a second scan for the first
+    sign flip: with l the lowest nonzero coefficient index and k the first
+    index whose successor coefficient flips sign against c_l (relative to
+    powers of a), descending from i = n-1:
+
+    * d_i = c_{i+1}          if c_{i+1} != 0 and i > k
+    * d_i = a * d_{i+1}      if c_{i+1} == 0 and i > k
+    * d_i = -a^{i+1-l} * c_l if l <= i <= k
+    * d_i = 0                if i < l
+    """
+    if a not in (-1, 0, 1):
+        raise ValueError(f"sign values are -1, 0 or 1, got {a!r}")
+    if p.is_zero or p.degree < 1:
+        raise ConstantPolynomialError("a polynomial of degree >= 1 is required")
+    n = p.degree
+    c = p.coeffs
+
+    if a == 0:
+        if c[0] != 0:
+            raise NotARootError("0 is not a root (the constant coefficient is nonzero)")
+        return Polynomial(SIGN, c[1:])
+
+    if not is_root(p, a):
+        raise NotARootError(f"{a} is not a root of the polynomial")
+
+    l = next(i for i, v in enumerate(c) if v != 0)
+    k = None
+    for i in range(n):
+        if c[i + 1] == -SIGN.pow(a, i + 1 - l) * c[l]:
+            k = i
+            break
+    if k is None:
+        raise InternalInvariantError("no sign flip found although a is a root")
+
+    d = [0] * n
+    for i in range(n - 1, -1, -1):
+        if i > k:
+            d[i] = c[i + 1] if c[i + 1] != 0 else a * d[i + 1]
+        elif i >= l:
+            d[i] = -SIGN.pow(a, i + 1 - l) * c[l]
+        # below l the coefficients stay 0
+    return Polynomial(SIGN, tuple(d))

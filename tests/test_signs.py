@@ -30,6 +30,7 @@ from oracles import (
     brute_multiplicity_sign,
     raw_nesting_members,
     raw_sign_quotients,
+    reference_divide_sign,
 )
 
 T = sign_poly([0, 1])
@@ -53,6 +54,22 @@ def test_divide_sign_worked_examples():
     shifted = divide_sign(p, 0)
     assert shifted == sign_poly([-1, 0, 1])
     assert divide_sign(shifted, 1) == T_PLUS
+
+
+def test_divide_sign_matches_reference_exhaustive():
+    # every sign polynomial of degree 1-8 and every sign value: the same
+    # quotient, or a NotARootError with the same message
+    for n in range(1, 9):
+        for p in _all_polys(n):
+            for a in (-1, 0, 1):
+                try:
+                    expected = reference_divide_sign(p, a)
+                except NotARootError as e:
+                    with pytest.raises(NotARootError) as got:
+                        divide_sign(p, a)
+                    assert str(got.value) == str(e)
+                else:
+                    assert divide_sign(p, a) == expected, (p.coeffs, a)
 
 
 def test_divide_sign_membership():

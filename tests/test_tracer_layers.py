@@ -128,3 +128,35 @@ def test_value_op_counters():
     for op, seen in counts.items():
         assert seen == {"polynomials.Polynomial.__post_init__.calls": 0,
                         "fields.TropValue.__lt__.calls": 1}, op
+
+
+# both divisions decide the root and find their split from one list of
+# terms: no Newton polygon, no root list, no separate root test
+_COUNT_DIVISIONS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import TropValue, signs, sign_poly, tropical, trop_poly
+tracer = tracer_module.Tracer().install()
+steps = {"tropical": lambda: tropical.divide(trop_poly([1, 0, 1, 0]), TropValue.log(1)),
+         "sign": lambda: signs.divide_sign(sign_poly([1, 1, 1, 1]), -1)}
+counts = {}
+for name, step in steps.items():
+    before = tracer.snapshot()
+    quotient = str(step())
+    after = tracer.snapshot()
+    counts[name] = [quotient, {k: after[k] - before[k] for k in (
+        "tropical.newton_polygon.calls", "tropical.roots_with_multiplicities.calls",
+        "polynomials.is_root.calls")}]
+print(json.dumps(counts))
+"""
+
+
+def test_division_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_DIVISIONS, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    none = {"tropical.newton_polygon.calls": 0, "tropical.roots_with_multiplicities.calls": 0,
+            "polynomials.is_root.calls": 0}
+    assert json.loads(out) == {"tropical": ["0:T^2+-1:T+0", none], "sign": ["T^2+T+1", none]}

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     ConstantPolynomialError,
@@ -23,7 +25,7 @@ from hyperpoly import (
     trop_poly,
 )
 
-from oracles import brute_search_quotients, hull_slopes
+from oracles import brute_search_quotients, hull_slopes, reference_divide
 
 L = TropValue.log
 Z = TropValue.zero()
@@ -179,6 +181,57 @@ def test_division_correct_on_random_inputs():
         for locus in roots_with_multiplicities(p):
             q = divide(p, locus.root)
             assert is_quotient(p, locus.root, q)
+
+
+# exponents with denominators 1-7, and values that may be the zero
+EXPONENTS = st.builds(Fraction, st.integers(-14, 14), st.integers(1, 7))
+VALUES = st.one_of(st.just(Z), EXPONENTS.map(TropValue))
+
+
+@st.composite
+def root_built_poly(draw):
+    """A polynomial with a drawn root multiset: its coefficients are the
+    tops c_k = c_n * a_{k+1} * ... * a_n over the ascending roots, and a
+    coefficient off the hull's vertices (a_k = a_{k+1}) may be lowered,
+    to zero too, which leaves the roots unchanged.  Repeated and zero
+    roots, and so leading zero coefficients, are common."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(VALUES, min_size=1, max_size=4))
+    roots = sorted((draw(st.sampled_from(pool)) for _ in range(n)), key=TropValue.sort_key)
+    coeffs = [L(draw(EXPONENTS))]
+    for root in reversed(roots):
+        coeffs.append(coeffs[-1] * root)
+    coeffs.reverse()
+    for k in range(1, n):
+        if roots[k - 1] == roots[k] and not coeffs[k].is_zero and draw(st.booleans()):
+            drop = draw(st.one_of(st.none(), EXPONENTS.filter(lambda e: e > 0)))
+            coeffs[k] = Z if drop is None else L(coeffs[k].exponent - drop)
+    return Polynomial(TROPICAL, tuple(coeffs))
+
+
+@st.composite
+def free_poly(draw):
+    """Any coefficients, zeros and leading zeros included."""
+    lower = draw(st.lists(VALUES, min_size=1, max_size=11))
+    return Polynomial(TROPICAL, (*lower, L(draw(EXPONENTS))))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(root_built_poly(), free_poly()), st.lists(VALUES, max_size=3))
+def test_divide_matches_reference(p, others):
+    # every root, some other values and zero: the same quotient, or a
+    # NotARootError with the same message
+    roots = {TropValue(s) for s in newton_polygon(p).slopes}
+    for a in sorted(roots | set(others) | {Z}, key=TropValue.sort_key):
+        try:
+            expected = reference_divide(p, a)
+        except NotARootError as e:
+            with pytest.raises(NotARootError) as got:
+                divide(p, a)
+            assert str(got.value) == str(e)
+        else:
+            assert divide(p, a) == expected, (str(p), str(a))
 
 
 def test_maximality_single_raise_fails():
