@@ -7,6 +7,9 @@ domain errors such as NotARoot, DegreeBoundExceeded or ResultTooLarge
 --json, domain errors are reported as a machine-readable object
 {"error": {"code": ..., "message": ...}} on stdout.  All output is
 deterministic: identical command lines produce byte-identical output.
+
+``_COMMANDS`` is the single declaration of the polynomial commands, read
+by both ``build_parser`` and ``run``; only ``selftest`` is declared apart.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from .errors import HyperfieldError, PolynomialParseError
 from .fields import SIGN, TROPICAL, field_by_name
 from .morphisms import check_pushforward_lemma, nonuniqueness_witness
 from .parsing import format_polynomial, parse_element, parse_polynomial, poly_to_json_dict
-from .polynomials import DEFAULT_DEGREE_BOUND, divides_linearly, in_product, is_root
+from .polynomials import DEFAULT_DEGREE_BOUND, _check_bound, divides_linearly, in_product, is_root
 from .signs import (
-    _check_bound,
     all_factorizations_sign,
     all_quotients_sign,
     classify_irreducibles,
@@ -182,30 +184,34 @@ def _signs_sweep(max_degree):
                         yield p, a
 
 
-_COMMANDS = {
-    "roots": cmd_roots,
-    "factor": cmd_factor,
-    "divide": cmd_divide,
-    "quotients": cmd_quotients,
-    "check-product": cmd_check_product,
-    "irreducible": cmd_irreducible,
-    "factorizations": cmd_factorizations,
-    "newton": cmd_newton,
-    "multiplicity": cmd_multiplicity,
-}
+_ROOT = ("--root", {"required": True})
 
-# the commands defined over one field only, with the message that refuses the other
-_ONE_FIELD = {
-    "factor": (TROPICAL, "factor supports --field tropical only; every tropical "
-                         "polynomial splits into linear factors (use 'factorizations' "
-                         "for the sign field)"),
-    "quotients": (SIGN, "quotients supports --field sign only (tropical quotient "
-                        "sets are infinite; use 'divide' for the maximal one)"),
-    "irreducible": (SIGN, "irreducible supports --field sign only (the irreducible "
-                          "tropical polynomials are exactly the linear ones)"),
-    "factorizations": (SIGN, "factorizations supports --field sign only; use 'factor' "
-                             "for the tropical field"),
-    "newton": (TROPICAL, "newton supports --field tropical only"),
+# The single declaration of the polynomial commands, in --help order:
+# name -> (handler, help, the arguments after --poly, None or the one
+# field the command is defined over with the message that refuses the other)
+_COMMANDS = {
+    "roots": (cmd_roots, "roots with multiplicities", (), None),
+    "factor": (cmd_factor, "unique factorization into linear tropical factors", (),
+               (TROPICAL, "factor supports --field tropical only; every tropical "
+                          "polynomial splits into linear factors (use 'factorizations' "
+                          "for the sign field)")),
+    "divide": (cmd_divide, "divide by T - a (T + a tropically)", (_ROOT,), None),
+    "quotients": (cmd_quotients, "all quotients by a linear term (sign field)", (_ROOT,),
+                  (SIGN, "quotients supports --field sign only (tropical quotient "
+                         "sets are infinite; use 'divide' for the maximal one)")),
+    "check-product": (cmd_check_product, "membership in a left-nested product",
+                      (("--factors", {"required": True,
+                                      "help": "semicolon-separated factor list"}),), None),
+    "irreducible": (cmd_irreducible, "irreducibility test (sign field)", (),
+                    (SIGN, "irreducible supports --field sign only (the irreducible "
+                           "tropical polynomials are exactly the linear ones)")),
+    "factorizations": (cmd_factorizations, "all irreducible factorizations (sign field)", (),
+                       (SIGN, "factorizations supports --field sign only; use 'factor' "
+                              "for the tropical field")),
+    "newton": (cmd_newton, "Newton polygon of a tropical polynomial",
+               (("--svg", {"help": "also render the polygon to this SVG file"}),),
+               (TROPICAL, "newton supports --field tropical only")),
+    "multiplicity": (cmd_multiplicity, "multiplicity of a root", (_ROOT,), None),
 }
 
 
@@ -236,41 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bound for exhaustive enumerations "
                              f"(default: {DEFAULT_DEGREE_BOUND})")
 
-    sp = sub.add_parser("roots", parents=[common], help="roots with multiplicities")
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("factor", parents=[common],
-                        help="unique factorization into linear tropical factors")
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("divide", parents=[common], help="divide by T - a (T + a tropically)")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--root", required=True)
-
-    sp = sub.add_parser("quotients", parents=[common],
-                        help="all quotients by a linear term (sign field)")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--root", required=True)
-
-    sp = sub.add_parser("check-product", parents=[common],
-                        help="membership in a left-nested product")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--factors", required=True, help="semicolon-separated factor list")
-
-    sp = sub.add_parser("irreducible", parents=[common], help="irreducibility test (sign field)")
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("factorizations", parents=[common],
-                        help="all irreducible factorizations (sign field)")
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("newton", parents=[common], help="Newton polygon of a tropical polynomial")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--svg", help="also render the polygon to this SVG file")
-
-    sp = sub.add_parser("multiplicity", parents=[common], help="multiplicity of a root")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--root", required=True)
+    for name, (_, help_text, arguments, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        sp.add_argument("--poly", required=True)
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
 
     sp = sub.add_parser("selftest", parents=[common],
                         help="run the built-in verification suites")
@@ -289,11 +265,11 @@ def run(argv=None, out=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(args, out)
         field = field_by_name(args.field)
-        only, refusal = _ONE_FIELD.get(args.command, (field, None))
-        if field is not only:
-            raise _UsageError(refusal)
+        handler, _, _, one_field = _COMMANDS[args.command]
+        if one_field is not None and field is not one_field[0]:
+            raise _UsageError(one_field[1])
         p = parse_polynomial(args.poly, field)
-        data, text = _COMMANDS[args.command](args, field, p)
+        data, text = handler(args, field, p)
     except (_UsageError, PolynomialParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ polynomials are Fraction lists.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .fields import SIGN, TROPICAL, TROP_ZERO, TropValue
@@ -138,11 +139,13 @@ def _random_laurent_poly(rng):
     return [_random_laurent(rng) for _ in range(deg)] + [_random_laurent(rng, nonzero=True)]
 
 
+# name -> (map, target field, random element, random polynomial, polynomial
+# product, element text, (zero, one, add, mul) of the source ring)
 _MORPHISMS = {
     "sign": (sign_map, SIGN, _random_rational, _random_rational_poly,
-             rational_poly_mul, str),
+             rational_poly_mul, str, (Fraction(0), Fraction(1), operator.add, operator.mul)),
     "valuation": (t_adic_valuation, TROPICAL, _random_laurent, _random_laurent_poly,
-                  laurent_poly_mul, laurent_str),
+                  laurent_poly_mul, laurent_str, ({}, {0: Fraction(1)}, laurent_add, laurent_mul)),
 }
 
 
@@ -155,12 +158,8 @@ def check_morphism_laws(morphism: str = "sign", trials: int = 200, seed: int = 0
     """
     import random  # loaded on first use: start-up stays small
 
-    fmap, field, rand_elem, _, _, fmt = _MORPHISMS[morphism]
+    fmap, field, rand_elem, _, _, fmt, (zero, one, add, mul) = _MORPHISMS[morphism]
     rng = random.Random(seed)
-    add = (lambda a, b: a + b) if morphism == "sign" else laurent_add
-    mul = (lambda a, b: a * b) if morphism == "sign" else laurent_mul
-    zero = Fraction(0) if morphism == "sign" else {}
-    one = Fraction(1) if morphism == "sign" else {0: Fraction(1)}
 
     failures = []
     if fmap(zero) != field.zero:
@@ -194,7 +193,7 @@ def check_pushforward_lemma(trials: int = 500, seed: int = 0,
     """
     import random  # loaded on first use: start-up stays small
 
-    fmap, field, _, rand_poly, poly_mul, fmt = _MORPHISMS[morphism]
+    fmap, field, _, rand_poly, poly_mul, fmt, _ = _MORPHISMS[morphism]
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):

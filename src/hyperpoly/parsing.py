@@ -182,13 +182,30 @@ def parse_polynomial(text: str, field) -> Polynomial:
 
 def _parse_bracket_array(text: str, field) -> Polynomial:
     """Relaxed array form: [c0, c1, ...] with unquoted element tokens,
-    so tropical rationals like 1/2 and the token zero need no quoting."""
+    so tropical rationals like 1/2 and the token zero need no quoting.
+    A token that is a JSON literal is judged as the JSON form judges it,
+    whatever its neighbours."""
+    import json
+
     if not text.endswith("]"):
         raise PolynomialParseError("unterminated coefficient array")
     body = text[1:-1].strip()
     if not body:
         return Polynomial(field, ())
-    coeffs = [parse_element(tok, field, column=i) for i, tok in enumerate(body.split(","))]
+    coeffs = []
+    for i, tok in enumerate(body.split(",")):
+        s = tok.strip()
+        # a token other than an integer, p/q, zero, array or object may be a
+        # JSON literal: a string, true, false, null or a number with a
+        # fraction or exponent
+        if (s != "zero" and s[:1] not in ("[", "{")
+                and not s.lstrip("+-").replace("/", "", 1).isdigit()):
+            try:
+                coeffs.append(_coeff_from_json(json.loads(s), field))
+                continue
+            except json.JSONDecodeError:  # not one either, e.g. 01.5
+                pass
+        coeffs.append(parse_element(tok, field, column=i))
     return Polynomial(field, tuple(coeffs))
 
 

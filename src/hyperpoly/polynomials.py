@@ -64,6 +64,11 @@ NEG_INF = float("-inf")
 DEFAULT_DEGREE_BOUND = 12
 
 
+def _check_bound(n, max_degree):
+    if n > max_degree:
+        raise DegreeBoundExceeded(f"degree {n} exceeds the bound {max_degree}")
+
+
 class Polynomial(_Record):
     """Immutable coefficient sequence c0..cn over a hyperfield."""
 
@@ -498,10 +503,7 @@ def enumerate_product(factors: Sequence[Polynomial],
     if any(q.field is not SIGN for q in fs):
         raise ValueError("enumerate_product is defined over the sign field only")
     _require_nonzero(*fs)
-    total = sum(q.degree for q in fs)
-    if total > max_degree:
-        raise DegreeBoundExceeded(
-            f"total degree {total} exceeds the enumeration bound {max_degree}")
+    _check_bound(sum(q.degree for q in fs), max_degree)
     current = {fs[0].coeffs}
     for q in fs[1:]:
         current = {m for cs in current for m in _product_members(cs, q.coeffs)}

@@ -42,12 +42,13 @@ from functools import cache
 from itertools import product as iter_product
 from types import MappingProxyType
 
-from .errors import ConstantPolynomialError, DegreeBoundExceeded, NotARootError
+from .errors import ConstantPolynomialError, NotARootError
 from .fields import SIGN, _Record
 from .parsing import format_polynomial
 from .polynomials import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
+    _check_bound,
     _linear_quotients,
     _product_members,
     is_root,
@@ -74,11 +75,6 @@ MONIC_IRREDUCIBLES = (
     sign_poly((1, 1)),      # T + 1
     sign_poly((1, 0, 1)),   # T^2 + 1
 )
-
-
-def _check_bound(n, max_degree):
-    if n > max_degree:
-        raise DegreeBoundExceeded(f"degree {n} exceeds the bound {max_degree}")
 
 
 def _check_sign_value(a):

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
+import argparse
+import io
 import json
 import os
 import shlex
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import hyperpoly
+from hyperpoly import TROPICAL, cli
 
 BASE = [sys.executable, "-m", "hyperpoly"]
 # children import the package this process imported, wherever it lives
@@ -146,6 +149,33 @@ def test_usage_errors_exit_2():
                    "--root", "0").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("divide", "--field", "sign", "--poly", "T^2-1").returncode == 2
+
+
+def test_one_field_refusals(capsys):
+    refused = {}
+    for name, (_, _, arguments, one_field) in cli._COMMANDS.items():
+        if one_field is None:
+            continue
+        only, message = one_field
+        other = "sign" if only is TROPICAL else "tropical"
+        argv = [name, "--field", other, "--poly", "T"]
+        for flag, options in arguments:
+            if options.get("required"):
+                argv += [flag, "1"]
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 2, argv
+        captured = capsys.readouterr()
+        assert out.getvalue() == "" and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        refused[name] = other
+    assert refused == {"factor": "sign", "quotients": "tropical", "irreducible": "tropical",
+                       "factorizations": "tropical", "newton": "sign"}
+
+
+def test_subcommands_are_the_table():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [*cli._COMMANDS, "selftest"]
 
 
 def test_negative_bounds_rejected_at_parse_time():

@@ -55,6 +55,21 @@ def test_json_rejects_inexact():
         parse_polynomial("[2, 1]", SIGN)
 
 
+def test_array_elements_judged_alone():
+    # a JSON literal among unquoted tokens is judged as in the JSON form,
+    # not accepted because a neighbour sent the array to the relaxed form
+    for text in ("[0.5, 1]", "[0.5, 1/2]", "[1e2, zero]", "[true, zero]"):
+        with pytest.raises(PolynomialParseError, match="must be exact"):
+            parse_polynomial(text, TROPICAL)
+    assert parse_polynomial('[1, "zero", zero]', TROPICAL) == \
+        parse_polynomial("[1, zero, zero]", TROPICAL)
+    with pytest.raises(PolynomialParseError, match="integers"):
+        parse_polynomial("[1.0, T]", SIGN)
+    # a nested token is no literal: refused as a bad value, never decoded
+    with pytest.raises(PolynomialParseError, match="bad tropical value"):
+        parse_polynomial("[zero, " + "[" * 10_000 + "]", TROPICAL)
+
+
 def test_out_of_domain_coefficient():
     with pytest.raises(PolynomialParseError):
         parse_polynomial("2T+1", SIGN)
