@@ -261,6 +261,10 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads an attached "--" (as in --poly=--) as an empty list
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         if args.command == "selftest":
             return cmd_selftest(args, out)

@@ -57,7 +57,7 @@ def _monomial_exponent(text: str, column: int) -> int:
     return int(digits)
 
 
-def _build(field, terms, text):
+def _build(field, terms):
     coeffs = {}
     for k, c, column in terms:
         if k in coeffs:
@@ -99,7 +99,7 @@ def _parse_sign_text(text: str) -> Polynomial:
         terms.append((k, c, column))
     if pos != len(s):
         raise PolynomialParseError("trailing junk", pos)
-    return _build(SIGN, terms, s)
+    return _build(SIGN, terms)
 
 
 def _parse_trop_text(text: str) -> Polynomial:
@@ -121,7 +121,7 @@ def _parse_trop_text(text: str) -> Polynomial:
             c, k = parse_element(tok, TROPICAL, column), 0
         terms.append((k, c, column))
         column += len(tok) + 1
-    return _build(TROPICAL, terms, s)
+    return _build(TROPICAL, terms)
 
 
 def _coeff_from_json(entry, field):
@@ -170,7 +170,7 @@ def parse_polynomial(text: str, field) -> Polynomial:
 
         try:
             data = json.loads(stripped)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge integer, deep nesting
             if stripped[0] == "[":
                 return _parse_bracket_array(stripped, field)
             raise PolynomialParseError(f"bad JSON polynomial: {exc}") from None
@@ -189,12 +189,15 @@ def _parse_bracket_array(text: str, field) -> Polynomial:
 
     if not text.endswith("]"):
         raise PolynomialParseError("unterminated coefficient array")
-    body = text[1:-1].strip()
-    if not body:
+    body = text[1:-1]
+    if not body.strip():
         return Polynomial(field, ())
     coeffs = []
-    for i, tok in enumerate(body.split(",")):
+    column = 1
+    for tok in body.split(","):
         s = tok.strip()
+        start = column + len(tok) - len(tok.lstrip())  # the element's offset in text
+        column += len(tok) + 1
         # a token other than an integer, p/q, zero, array or object may be a
         # JSON literal: a string, true, false, null or a number with a
         # fraction or exponent
@@ -205,7 +208,7 @@ def _parse_bracket_array(text: str, field) -> Polynomial:
                 continue
             except json.JSONDecodeError:  # not one either, e.g. 01.5
                 pass
-        coeffs.append(parse_element(tok, field, column=i))
+        coeffs.append(parse_element(s, field, start))
     return Polynomial(field, tuple(coeffs))
 
 

@@ -9,6 +9,8 @@ every construction runs it exactly once.
 
 The product of two polynomials is a *set*: its i-th coefficient ranges
 over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
+The product kernels read plain coefficient tuples; a ``Polynomial`` is
+built only at the API edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
 is not associative, so the nesting matters).  Membership for three or
 more factors is one depth-first search over the chain's intermediates,
@@ -157,18 +159,11 @@ def _require_nonzero(*polys):
             raise ZeroOperandError("operation undefined for the zero polynomial")
 
 
-def _product_rows(p: Polynomial, q: Polynomial):
-    """Per-index hypersums of the cross terms of p and q."""
-    f = p.field
-    n, m = p.degree, q.degree
-    rows = []
-    for i in range(n + m + 1):
-        terms = [
-            f.mul(p.coeffs[k], q.coeffs[i - k])
-            for k in range(max(0, i - m), min(n, i) + 1)
-        ]
-        rows.append(f.hyperadd(terms))
-    return rows
+def _product_rows(f, c: tuple, d: tuple) -> list:
+    """Per-index hypersums over f of the cross terms of coefficient tuples c and d."""
+    n, m = len(c) - 1, len(d) - 1
+    return [f.hyperadd([f.mul(c[k], d[i - k]) for k in range(max(0, i - m), min(n, i) + 1)])
+            for i in range(n + m + 1)]
 
 
 def product_coefficient_sets(p: Polynomial, q: Polynomial) -> tuple:
@@ -176,7 +171,7 @@ def product_coefficient_sets(p: Polynomial, q: Polynomial) -> tuple:
     _require_nonzero(p, q)
     if p.field is not q.field:
         raise ValueError("operands live over different fields")
-    return tuple(_product_rows(p, q))
+    return tuple(_product_rows(p.field, p.coeffs, q.coeffs))
 
 
 def is_root(p: Polynomial, a) -> bool:
@@ -304,17 +299,16 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
     if r.lead != lead or r.coeffs[0] != const:
         return False
     if len(fs) == 2:
-        return _in_rows(r, fs[0], fs[1])
+        return _in_rows(f, r.coeffs, fs[0].coeffs, fs[1].coeffs)
     if f is TROPICAL and all(q.degree == 1 for q in fs):
         return _linear_tropical_member(r, fs)
     return _chain_member(r, fs)
 
 
-def _in_rows(r: Polynomial, p: Polynomial, q: Polynomial) -> bool:
-    """r in p * q: each coefficient of r lies in its row of cross terms."""
-    rows = _product_rows(p, q)
-    return len(rows) == len(r.coeffs) and all(
-        r.field.subset_contains(row, c) for row, c in zip(rows, r.coeffs))
+def _in_rows(f, r: tuple, c: tuple, d: tuple) -> bool:
+    """r in c * d for coefficient tuples over f: each r_i lies in row i of cross terms."""
+    rows = _product_rows(f, c, d)
+    return len(rows) == len(r) and all(f.subset_contains(row, x) for row, x in zip(rows, r))
 
 
 def _linear_tropical_member(r: Polynomial, fs) -> bool:
@@ -375,7 +369,7 @@ def _chain_member(r: Polynomial, fs) -> bool:
             return _product_members(cs, coeffs[idx])
 
         def is_last_link(cs):
-            return _in_rows(r, Polynomial(SIGN, cs), fs[last])
+            return _in_rows(SIGN, r.coeffs, cs, coeffs[last])
 
     seen = set()  # (step, intermediate) pairs already explored without success
 
@@ -487,11 +481,10 @@ def _tropical_anchor_pool(target: tuple, coeffs) -> dict:
 
 def _product_members(c: tuple, d: tuple):
     """The members of the two-factor sign product of coefficient tuples c
-    and d with a nonzero lead, in the order of the sorted rows."""
-    rows = _product_rows(Polynomial(SIGN, c), Polynomial(SIGN, d))
-    for combo in iter_product(*(sorted(row) for row in rows)):
-        if combo[-1] != 0:
-            yield combo
+    and d, in the order of the sorted rows.  With nonzero leads c_n and
+    d_m the top row is the single term c_n * d_m, so every member has a
+    nonzero lead and is trimmed as it stands."""
+    return iter_product(*(sorted(row) for row in _product_rows(SIGN, c, d)))
 
 
 def enumerate_product(factors: Sequence[Polynomial],
@@ -507,6 +500,4 @@ def enumerate_product(factors: Sequence[Polynomial],
     current = {fs[0].coeffs}
     for q in fs[1:]:
         current = {m for cs in current for m in _product_members(cs, q.coeffs)}
-    polys = [Polynomial(SIGN, cs) for cs in current]
-    polys.sort(key=poly_sort_key)
-    return polys
+    return sorted((Polynomial(SIGN, cs) for cs in current), key=poly_sort_key)

@@ -11,13 +11,13 @@ The exceptions are the sign multiplicity and irreducibility oracles,
 which the library computes by closed forms (Descartes' rule of signs
 and the classification of irreducibles).  They are the recursive and
 split-search definitions, built on the library's ``is_root``,
-``all_quotients_sign`` and ``_product_rows``; the tests check each of
+``all_quotients_sign`` and ``product_coefficient_sets``; the tests check each of
 those against the raw enumerations here.  The tropical quotient search
 oracle likewise perturbs ``divide``'s answer and keeps what the
 library's relation check ``is_quotient`` accepts; the tests check that
 check against the definition separately.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
-coefficients through ``_product_rows`` and ``_in_rows``, where the
+coefficients through ``product_coefficient_sets`` and ``_in_rows``, where the
 library runs it on integer-scaled exponents; the tests require the same
 verdict from both.  The two division references reach the same
 quotients another way: tropical division by the sorted root list
@@ -35,8 +35,9 @@ from itertools import product as iter_product
 
 from hyperpoly import (SIGN, TROPICAL, ConstantPolynomialError, InternalInvariantError,
                        NotARootError, Polynomial, TropValue, all_quotients_sign, divide,
-                       is_quotient, is_root, newton_polygon, poly_sort_key)
-from hyperpoly.polynomials import _in_rows, _product_rows
+                       is_quotient, is_root, newton_polygon, poly_sort_key,
+                       product_coefficient_sets)
+from hyperpoly.polynomials import _in_rows
 
 # the binary sign hyperaddition, written out
 SIGN_TABLE = {
@@ -197,7 +198,7 @@ def brute_is_irreducible_sign(p):
             q1 = Polynomial(SIGN, c1 + (1,))
             for c2 in iter_product((-1, 0, 1), repeat=n - d1):
                 for lead in (1, -1):
-                    rows = _product_rows(q1, Polynomial(SIGN, c2 + (lead,)))
+                    rows = product_coefficient_sets(q1, Polynomial(SIGN, c2 + (lead,)))
                     if all(c in row for c, row in zip(p.coeffs, rows)):
                         return False
     return True
@@ -289,7 +290,7 @@ def reference_tropical_chain_member(r, fs):
     # every member lies coefficientwise below the all-tops chain
     tops = fs[0]
     for q in fs[1:]:
-        tops = Polynomial(f, tuple(s.top for s in _product_rows(tops, q)))
+        tops = Polynomial(f, tuple(s.top for s in product_coefficient_sets(tops, q)))
     if any(t < c for t, c in zip(tops.coeffs, r.coeffs)):
         return False
     anchor_pool = reference_tropical_anchor_pool(r, fs)
@@ -299,9 +300,9 @@ def reference_tropical_chain_member(r, fs):
         if (idx, cs) in seen:
             return False
         if idx == last:
-            found = _in_rows(r, Polynomial(f, cs), fs[idx])
+            found = _in_rows(f, r.coeffs, cs, fs[idx].coeffs)
         else:
-            rows = _product_rows(Polynomial(f, cs), fs[idx])
+            rows = product_coefficient_sets(Polynomial(f, cs), fs[idx])
             options = reference_tropical_options(rows, anchor_pool[idx], fs[idx + 1])
             found = any(step(w, idx + 1) for w in iter_product(*options))
         if not found:

@@ -27,9 +27,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hyperpoly
-from hyperpoly import Polynomial, TROPICAL, TropValue, in_product, trop_poly
+from hyperpoly import (Polynomial, TROPICAL, TropValue, in_product, product_coefficient_sets,
+                       trop_poly)
 from hyperpoly.parsing import format_polynomial, parse_polynomial
-from hyperpoly.polynomials import (_chain_member, _product_rows, _scaled, _scaled_rows,
+from hyperpoly.polynomials import (_chain_member, _scaled, _scaled_rows,
                                    _tropical_anchor_pool, _tropical_options)
 
 from oracles import (reference_tropical_anchor_pool, reference_tropical_chain_member,
@@ -50,7 +51,7 @@ def _grid(lo, hi):
 
 def grid_oracle_three_factor(r, f1, f2, f3):
     """Exhaustive search for an intermediate w with w in f1*f2 and r in w*f3."""
-    rows = _product_rows(f1, f2)
+    rows = product_coefficient_sets(f1, f2)
     exps = [c.exponent for q in (r, f1, f2, f3) for c in q.coeffs if not c.is_zero]
     bound = max(abs(e) for e in exps) * 3 + 2
     pools = []
@@ -63,7 +64,7 @@ def grid_oracle_three_factor(r, f1, f2, f3):
         w = Polynomial(TROPICAL, combo)
         if w.degree != len(rows) - 1:
             continue
-        inner = _product_rows(w, f3)
+        inner = product_coefficient_sets(w, f3)
         if len(inner) == len(r.coeffs) and all(
                 inner[i].contains(r.coeffs[i]) for i in range(len(inner))):
             return True
@@ -110,7 +111,8 @@ def test_chain_search_matches_grid_oracle_randomized():
             const = const * q.coeffs[0]
         tops = factors[0]
         for q in factors[1:]:
-            tops = Polynomial(TROPICAL, tuple(s.top for s in _product_rows(tops, q)))
+            tops = Polynomial(TROPICAL,
+                              tuple(s.top for s in product_coefficient_sets(tops, q)))
         for probe in range(6):
             if probe < 3:
                 # perturb the all-tops profile downward: mostly members
@@ -150,7 +152,7 @@ def test_four_factor_linear_consistency():
         # slack is not needed: probe the all-tops profile
         acc = target_factors[0]
         for q in target_factors[1:]:
-            rows = _product_rows(acc, q)
+            rows = product_coefficient_sets(acc, q)
             acc = Polynomial(TROPICAL, tuple(s.top for s in rows))
         assert in_product(acc, target_factors)
 
@@ -208,7 +210,7 @@ def tropical_factor(draw):
 
 
 def _draw_member(draw, row):
-    """A member of a row of ``_product_rows``: its top, or for an interval
+    """A member of a row of ``product_coefficient_sets``: its top, or for an interval
     also zero or a value below the top."""
     if not row.interval or row.top.is_zero:
         return row.top
@@ -226,7 +228,7 @@ def chain_question(draw):
     mode = draw(st.sampled_from(("chain", "lowered", "raised")))
     current = fs[0]
     for q in fs[1:]:
-        rows = _product_rows(current, q)
+        rows = product_coefficient_sets(current, q)
         if mode == "chain":
             current = Polynomial(TROPICAL, tuple(_draw_member(draw, row) for row in rows))
         else:
@@ -256,7 +258,8 @@ def test_scaled_search_matches_the_tropvalue_reference(question):
     scale = lcm(*(c.exponent.denominator for p in (r, *fs) for c in p.coeffs if not c.is_zero))
     want = [[None if v.is_zero else v.exponent * scale for v in cands]
             for cands in reference_tropical_options(
-                _product_rows(fs[0], fs[1]), reference_tropical_anchor_pool(r, fs)[1], fs[2])]
+                product_coefficient_sets(fs[0], fs[1]),
+                reference_tropical_anchor_pool(r, fs)[1], fs[2])]
     want = [[None] if cands == [None, None] else cands for cands in want]
     target, coeffs = _scaled(r, fs)
     got = _tropical_options(list(_scaled_rows(coeffs[0], coeffs[1])),
@@ -278,7 +281,8 @@ def _hostile_question(seed):
     fs = [trop_poly([exponent() for _ in range(3)]) for _ in range(3)]
     tops = fs[0]
     for q in fs[1:]:
-        tops = Polynomial(TROPICAL, tuple(row.top for row in _product_rows(tops, q)))
+        tops = Polynomial(TROPICAL,
+                          tuple(row.top for row in product_coefficient_sets(tops, q)))
     cs = list(tops.coeffs)
     i = rng.randrange(1, len(cs) - 1)
     nudge = Fraction(rng.choice((-1, 1)), rng.choice(HOSTILE))

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hyperpoly
@@ -170,6 +171,49 @@ def test_one_field_refusals(capsys):
         refused[name] = other
     assert refused == {"factor": "sign", "quotients": "tropical", "irreducible": "tropical",
                        "factorizations": "tropical", "newton": "sign"}
+
+
+HOSTILE_POLYS = ["--", "[" * 100_000, "[" * 50_000 + "]" * 50_000,
+                 '{"field": "sign", "coeffs": ' + "[" * 100_000, "[1e400]", "[nan, 0]",
+                 "[1/0, 1]", "T^10001", "[" + ", ".join(["1"] * 2001) + "]", ""]
+HOSTILE_VALUES = ["--", "1/0", ""]
+SAFE_VALUES = {"--root": "1", "--factors": "T+1"}
+
+
+def _hostile_argvs():
+    """Every command on every field it accepts, with one hostile value at a time."""
+    for name, (_, _, arguments, one_field) in cli._COMMANDS.items():
+        for field in ("sign", "tropical") if one_field is None else (one_field[0].name,):
+            def argv(poly="T+1", flag=None, value=None, field=field):
+                out = [name, f"--field={field}", f"--poly={poly}"]
+                for other, _ in arguments:
+                    given = value if other == flag else SAFE_VALUES.get(other)
+                    if given is not None:
+                        out.append(f"{other}={given}")
+                return out
+
+            yield from (argv(poly) for poly in HOSTILE_POLYS)
+            yield from (argv(flag=flag, value=value)
+                        for flag, _ in arguments for value in HOSTILE_VALUES)
+            yield argv(field="--")
+            yield argv() + ["--max-degree=--"]
+    yield ["selftest", "--trials=--"]
+    yield ["selftest", "--seed=--"]
+
+
+def test_hostile_input_matrix(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # an --svg value that is a writable path lands here
+    for argv in _hostile_argvs():
+        start = time.perf_counter()
+        try:
+            code = cli.run(argv, out=io.StringIO())
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        took = time.perf_counter() - start
+        capsys.readouterr()
+        shown = [a[:40] for a in argv]
+        assert code in (0, 2, 3), shown
+        assert took < 2, (shown, took)
 
 
 def test_subcommands_are_the_table():

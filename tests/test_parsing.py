@@ -70,6 +70,19 @@ def test_array_elements_judged_alone():
         parse_polynomial("[zero, " + "[" * 10_000 + "]", TROPICAL)
 
 
+def test_array_errors_name_the_element_column():
+    # the column is the element's first character in the text, as in term
+    # syntax, and the quoted value is the element without its blanks
+    with pytest.raises(PolynomialParseError) as err:
+        parse_polynomial("[1, x]", TROPICAL)
+    assert str(err.value).startswith("bad tropical value 'x'")
+    assert err.value.column == 4
+    with pytest.raises(PolynomialParseError) as err:
+        parse_polynomial("[ 1,  2/3 ,  7/0 ]", TROPICAL)
+    assert str(err.value).startswith("bad tropical value '7/0'")
+    assert err.value.column == 13
+
+
 def test_out_of_domain_coefficient():
     with pytest.raises(PolynomialParseError):
         parse_polynomial("2T+1", SIGN)

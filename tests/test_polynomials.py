@@ -289,12 +289,10 @@ def test_linear_tropical_member_agrees_with_chain_search():
 
 
 def _chain_rows(factors):
-    from hyperpoly.polynomials import _product_rows
-
     acc = factors[0]
     rows = None
     for q in factors[1:]:
-        rows = _product_rows(acc, q)
+        rows = product_coefficient_sets(acc, q)
         acc = Polynomial(TROPICAL, tuple(s.top for s in rows))
     return rows
 

@@ -95,6 +95,48 @@ def test_tropical_chain_counters():
                       "fields.trop_hyperadd.calls": 0}
 
 
+# the sign product kernels read coefficient tuples: a Polynomial is built
+# for an answer only, never to wrap an operand of _product_rows
+_COUNT_SIGN_PRODUCTS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import enumerate_product, in_product, signs, sign_poly
+tracer = tracer_module.Tracer().install()
+t_plus, t_minus = sign_poly([1, 1]), sign_poly([-1, 1])
+factors = [t_plus, t_minus, t_plus]
+target = sign_poly([-1, -1, 1, 1])
+quintic = sign_poly([1, 0, -1, 1, 0, -1])
+steps = {"enumerate_product": lambda: len(enumerate_product(factors)),
+         "in_product": lambda: in_product(target, factors),
+         "all_factorizations_sign": lambda: len(signs.all_factorizations_sign(quintic))}
+counts = {}
+for name, step in steps.items():
+    before = tracer.snapshot()
+    answer = step()
+    after = tracer.snapshot()
+    counts[name] = [answer, {k: after[k] - before[k] for k in (
+        "polynomials.Polynomial.__post_init__.calls", "polynomials._product_rows.calls")}]
+print(json.dumps(counts))
+"""
+
+
+def test_sign_product_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_SIGN_PRODUCTS, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+
+    def counts(polys, rows):
+        return {"polynomials.Polynomial.__post_init__.calls": polys,
+                "polynomials._product_rows.calls": rows}
+
+    # five answers; no operand wrapped; the monic target of a cold table search
+    assert json.loads(out) == {"enumerate_product": [5, counts(5, 4)],
+                               "in_product": [True, counts(0, 2)],
+                               "all_factorizations_sign": [3, counts(1, 885)]}
+
+
 # the tracer wraps Polynomial.__post_init__ and TropValue.__lt__, so one
 # construction is one normalisation and each derived comparison one __lt__
 _COUNT_VALUE_OPS = """
