@@ -184,6 +184,13 @@ def _signs_sweep(max_degree):
                         yield p, a
 
 
+def _file_name(text: str) -> str:
+    """An argparse type: a path to write, rejected at parse time when empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name")
+    return text
+
+
 _ROOT = ("--root", {"required": True})
 
 # The single declaration of the polynomial commands, in --help order:
@@ -209,7 +216,8 @@ _COMMANDS = {
                        (SIGN, "factorizations supports --field sign only; use 'factor' "
                               "for the tropical field")),
     "newton": (cmd_newton, "Newton polygon of a tropical polynomial",
-               (("--svg", {"help": "also render the polygon to this SVG file"}),),
+               (("--svg", {"type": _file_name,
+                           "help": "also render the polygon to this SVG file"}),),
                (TROPICAL, "newton supports --field tropical only")),
     "multiplicity": (cmd_multiplicity, "multiplicity of a root", (_ROOT,), None),
 }

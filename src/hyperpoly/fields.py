@@ -474,7 +474,7 @@ class SignField:
     def parse_element(text: str) -> int:
         v = int(text.strip())
         if v not in SIGN_ELEMENTS:
-            raise ValueError(f"sign values are -1, 0 or 1, got {v}")
+            raise ValueError(f"sign values are -1, 0 or 1, got {str(v)[:20]}")
         return v
 
     @staticmethod

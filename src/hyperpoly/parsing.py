@@ -36,11 +36,26 @@ __all__ = [
 MAX_EXPONENT = 10_000
 
 
+def _quoted(token) -> str:
+    """The repr of a token cut to 20 characters, so that an error about a
+    huge token stays short: a string is cut before quoting."""
+    if isinstance(token, str):
+        return repr(token[:20])
+    return repr(token)[:20]
+
+
 def parse_element(text: str, field, column=None):
     try:
         return field.parse_element(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise PolynomialParseError(f"bad {field.name} value {text!r}: {exc}", column) from None
+        # the field's own message may end by quoting the token again, whole
+        # or cut to 200 characters: that quote is cut the same way
+        token, detail = text.strip(), str(exc)
+        echo = detail.find(repr(token)[:21])
+        if echo >= 0:
+            detail = detail[:echo] + _quoted(token)
+        raise PolynomialParseError(f"bad {field.name} value {_quoted(text)}: {detail}",
+                                   column) from None
 
 
 def _monomial_exponent(text: str, column: int) -> int:
@@ -48,12 +63,12 @@ def _monomial_exponent(text: str, column: int) -> int:
         return 1
     m = re.fullmatch(r"T\^(\d+)", text)
     if not m:
-        raise PolynomialParseError(f"bad monomial {text!r}", column)
+        raise PolynomialParseError(f"bad monomial {_quoted(text)}", column)
     digits = m.group(1).lstrip("0") or "0"
     # compare lengths first: int() refuses very long digit strings
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
         raise PolynomialParseError(
-            f"exponent in {text[:20]!r} exceeds the limit {MAX_EXPONENT}", column)
+            f"exponent in {_quoted(text)} exceeds the limit {MAX_EXPONENT}", column)
     return int(digits)
 
 
@@ -127,18 +142,18 @@ def _parse_trop_text(text: str) -> Polynomial:
 def _coeff_from_json(entry, field):
     if field is SIGN:
         if isinstance(entry, bool) or not isinstance(entry, int):
-            raise PolynomialParseError(f"sign coefficients are integers, got {entry!r}")
+            raise PolynomialParseError(f"sign coefficients are integers, got {_quoted(entry)}")
         if entry not in (-1, 0, 1):
-            raise PolynomialParseError(f"sign coefficients are -1, 0 or 1, got {entry}")
+            raise PolynomialParseError(f"sign coefficients are -1, 0 or 1, got {_quoted(entry)}")
         return entry
     if isinstance(entry, bool) or isinstance(entry, float):
         raise PolynomialParseError(
-            f"tropical coefficients must be exact (int or \"p/q\" string), got {entry!r}")
+            f"tropical coefficients must be exact (int or \"p/q\" string), got {_quoted(entry)}")
     if isinstance(entry, int):
         return TropValue.log(entry)
     if isinstance(entry, str):
         return parse_element(entry, TROPICAL)
-    raise PolynomialParseError(f"bad tropical coefficient {entry!r}")
+    raise PolynomialParseError(f"bad tropical coefficient {_quoted(entry)}")
 
 
 def poly_from_json(data, field=None) -> Polynomial:

@@ -21,8 +21,10 @@ step tries the top first, then tie values derived from the target and
 the remaining factors.  That search runs on exponents scaled by the
 lcm of their denominators: the scaling turns every exponent into an
 int and keeps order and sums, so the search adds and compares plain
-ints and decides what it would on Fractions.  It can miss members.  It
-refuses a target above the all-tops chain at once, and a product of linear
+ints and decides what it would on Fractions.  ``_scaled`` is the one
+encoder for this, shared with the Newton polygon and tropical division
+in ``tropical``.  The search can miss members.  It refuses a target
+above the all-tops chain at once, and a product of linear
 factors is decided by the exact closed-form criterion (each coefficient
 bounded by the product of the larger roots, with equality forced at
 strict root increases).
@@ -345,7 +347,7 @@ def _chain_member(r: Polynomial, fs) -> bool:
     The tropical search runs on ``_scaled`` exponents, plain ints."""
     last = len(fs) - 1
     if r.field is TROPICAL:
-        target, coeffs = _scaled(r, fs)
+        _, target, *coeffs = _scaled(r, *fs)
         # every member lies coefficientwise below the all-tops chain
         tops = coeffs[0]
         for d in coeffs[1:]:
@@ -387,24 +389,25 @@ def _chain_member(r: Polynomial, fs) -> bool:
     return step(coeffs[0], 1)
 
 
-def _scaled(r: Polynomial, fs):
-    """The coefficients of r and of the factors as tuples of ints.
+def _scaled(*values) -> tuple:
+    """The scale L, then each value's exponents as ints: a tropical
+    polynomial as a tuple, a loose ``TropValue`` as one entry.
 
     An exponent e becomes e * L, with L the lcm of the denominators of
     all exponents, and the zero becomes None.  The map preserves order
-    and sums, and the search only adds, subtracts and compares exponents,
-    so it decides on these ints exactly what it would on the Fractions.
+    and sums, so code that only adds, subtracts and compares exponents
+    decides on these ints exactly what it would on the Fractions, and
+    an int v it computes decodes to the exponent Fraction(v, L).
     """
-    polys = (r, *fs)
-    scale = math.lcm(*{c.exponent.denominator for p in polys for c in p.coeffs
-                       if c.exponent is not None})
-
-    def encode(p):
-        return tuple(None if c.exponent is None
-                     else c.exponent.numerator * (scale // c.exponent.denominator)
-                     for c in p.coeffs)
-
-    return encode(r), [encode(q) for q in fs]
+    groups = [(v,) if isinstance(v, TropValue) else v.coeffs for v in values]
+    exps = [[c.exponent for c in g] for g in groups]
+    dens = {e.denominator for es in exps for e in es if e is not None}
+    scale = math.lcm(*dens)
+    factors = {d: scale // d for d in dens}
+    encoded = [tuple(None if e is None else e.numerator * factors[e.denominator] for e in es)
+               for es in exps]
+    return (scale, *(e[0] if isinstance(v, TropValue) else e
+                     for v, e in zip(values, encoded)))
 
 
 def _at_most(c, top) -> bool:

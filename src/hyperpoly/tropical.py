@@ -17,6 +17,13 @@ result is the coefficientwise-maximal polynomial q with p in (T+a)*q;
 the quotient is unique exactly when all roots are simple.  Quotients
 near the maximal one are searched by the quotient walk shared with the
 sign field, offering each position its maximal value or a lowered one.
+
+The hull and the division run on exponents scaled to ints by
+``polynomials._scaled``, the one encoder that the chain search uses as
+well.  The scaling keeps order and sums, so they decide on ints what
+they would on Fractions, and only answers are decoded: a hull vertex
+keeps p's own height, a slope is decoded once per hull segment, and a
+quotient coefficient copied from p is p's own value.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
-from .polynomials import Polynomial, _linear_quotients, divides_linearly
+from .polynomials import Polynomial, _linear_quotients, _scaled, divides_linearly
 
 __all__ = [
     "NewtonPolygon",
@@ -87,9 +94,13 @@ def _cross(o, a, b):
 
 
 def newton_polygon(p: Polynomial) -> NewtonPolygon:
-    """Lower convex hull of the points (i, -e_i) over nonzero coefficients."""
+    """Lower convex hull of the points (i, -e_i) over nonzero coefficients.
+
+    The hull is built on the ``_scaled`` exponents; each vertex keeps
+    p's own height, and each segment's slope is decoded once."""
     _require_positive_degree(p)
-    points = [(i, -c.exponent) for i, c in enumerate(p.coeffs) if not c.is_zero]
+    scale, cs = _scaled(p)
+    points = [(i, -e) for i, e in enumerate(cs) if e is not None]
     zero_mult = points[0][0]  # leading zero coefficients c_0..c_{l-1}
 
     hull = []
@@ -100,10 +111,10 @@ def newton_polygon(p: Polynomial) -> NewtonPolygon:
 
     slopes = []
     for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
-        step = Fraction(h2 - h1, i2 - i1)
-        slopes.extend([step] * (i2 - i1))
+        slopes.extend([Fraction(h2 - h1, (i2 - i1) * scale)] * (i2 - i1))
 
-    vertices = tuple((i, None) for i in range(zero_mult)) + tuple(hull)
+    vertices = (tuple((i, None) for i in range(zero_mult))
+                + tuple((i, -p.coeffs[i].exponent) for i, _ in hull))
     return NewtonPolygon(vertices, tuple(slopes), zero_mult)
 
 
@@ -114,8 +125,8 @@ def roots_with_multiplicities(p: Polynomial) -> list:
     zero_mult = polygon.zero_root_multiplicity
     loci = [RootLocus(TropValue.zero(), zero_mult, 1)] if zero_mult else []
     hull = polygon.vertices[zero_mult:]
-    for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
-        loci.append(RootLocus(TropValue(Fraction(h2 - h1, i2 - i1)), i2 - i1, i1 + 1))
+    for (i1, _), (i2, _) in zip(hull, hull[1:]):
+        loci.append(RootLocus(TropValue(polygon.slopes[i1 - zero_mult]), i2 - i1, i1 + 1))
     return loci
 
 
@@ -148,19 +159,29 @@ def divide(p: Polynomial, a: TropValue) -> Polynomial:
             raise NotARootError("zero is not a root (the constant coefficient is nonzero)")
         return Polynomial(TROPICAL, c[1:])
 
-    terms = [ci * a ** i for i, ci in enumerate(c)]
-    if not TROPICAL.contains(TROPICAL.zero, terms):
+    scale, cs, e = _scaled(p, a)
+    terms = [None if x is None else x + i * e for i, x in enumerate(cs)]
+    top = max(t for t in terms if t is not None)
+    if terms.count(top) < 2:
         raise NotARootError(f"{a} is not a root of the polynomial")
-    j = terms.index(max(terms))
+    j = terms.index(top)
 
-    d = [None] * n
-    d[n - 1] = c[n]
+    d = [TROPICAL.zero] * n
+    d[n - 1], above = c[n], cs[n]
     for i in range(n - 2, j - 1, -1):
         # on a's own segment c_{i+1} <= a * d_{i+1}, so this is the suffix product
-        d[i] = max(c[i + 1], a * d[i + 1])
-    below, inv_a = TROPICAL.zero, a.inv()
+        above += e
+        if cs[i + 1] is not None and cs[i + 1] >= above:
+            d[i], above = c[i + 1], cs[i + 1]
+        else:
+            d[i] = TropValue(Fraction(above, scale))
+    below = None
     for i in range(j):
-        d[i] = below = inv_a * max(c[i], below)
+        if cs[i] is not None and (below is None or cs[i] > below):
+            below = cs[i]
+        if below is not None:
+            below -= e
+            d[i] = TropValue(Fraction(below, scale))
     return Polynomial(TROPICAL, tuple(d))
 
 

@@ -19,12 +19,15 @@ check against the definition separately.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
 coefficients through ``product_coefficient_sets`` and ``_in_rows``, where the
 library runs it on integer-scaled exponents; the tests require the same
-verdict from both.  The two division references reach the same
-quotients another way: tropical division by the sorted root list
-expanded from the Newton polygon, and sign division by a root test
-followed by a second scan for the first sign flip.  They call the library's
-``newton_polygon`` and ``is_root``, which the divisions themselves no
-longer use: those read the root test and the split off one list of
+verdict from both.  The Newton polygon reference is the monotone-chain
+hull on the Fraction heights themselves, where the library builds it on
+integer-scaled exponents; the tests require the same vertices, slopes
+and zero multiplicity from both.  The two division references reach the
+same quotients another way: tropical division by the sorted root list
+expanded from that reference polygon, and sign division by a root test
+followed by a second scan for the first sign flip.  The sign reference
+calls the library's ``is_root``, which ``divide_sign`` itself no longer
+uses: both divisions read the root test and the split off one list of
 terms.  The tests require the same quotient or the same error from both.
 """
 
@@ -34,8 +37,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iter_product
 
 from hyperpoly import (SIGN, TROPICAL, ConstantPolynomialError, InternalInvariantError,
-                       NotARootError, Polynomial, TropValue, all_quotients_sign, divide,
-                       is_quotient, is_root, newton_polygon, poly_sort_key,
+                       NewtonPolygon, NotARootError, Polynomial, TropValue,
+                       all_quotients_sign, divide, is_quotient, is_root, poly_sort_key,
                        product_coefficient_sets)
 from hyperpoly.polynomials import _in_rows
 
@@ -353,10 +356,38 @@ def reference_tropical_anchor_pool(r, fs):
     return pools
 
 
+def _reference_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_newton_polygon(p):
+    """``tropical.newton_polygon`` on the Fraction heights themselves: the
+    monotone-chain lower hull of the points (i, -e_i) over the nonzero
+    coefficients, where the library builds it on scaled integer exponents."""
+    if p.is_zero or p.degree < 1:
+        raise ConstantPolynomialError("a polynomial of degree >= 1 is required")
+    points = [(i, -c.exponent) for i, c in enumerate(p.coeffs) if not c.is_zero]
+    zero_mult = points[0][0]  # leading zero coefficients c_0..c_{l-1}
+
+    hull = []
+    for pt in points:
+        while len(hull) >= 2 and _reference_cross(hull[-2], hull[-1], pt) <= 0:
+            hull.pop()
+        hull.append(pt)
+
+    slopes = []
+    for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
+        step = Fraction(h2 - h1, i2 - i1)
+        slopes.extend([step] * (i2 - i1))
+
+    vertices = tuple((i, None) for i in range(zero_mult)) + tuple(hull)
+    return NewtonPolygon(vertices, tuple(slopes), zero_mult)
+
+
 def _reference_sorted_roots(p):
-    """The roots of p in nondecreasing order, expanded from the Newton
-    polygon's per-unit-step slopes: the zero roots first."""
-    polygon = newton_polygon(p)
+    """The roots of p in nondecreasing order, expanded from the reference
+    Newton polygon's per-unit-step slopes: the zero roots first."""
+    polygon = reference_newton_polygon(p)
     return ([TropValue.zero()] * polygon.zero_root_multiplicity
             + [TropValue(s) for s in polygon.slopes])
 

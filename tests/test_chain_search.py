@@ -261,7 +261,7 @@ def test_scaled_search_matches_the_tropvalue_reference(question):
                 product_coefficient_sets(fs[0], fs[1]),
                 reference_tropical_anchor_pool(r, fs)[1], fs[2])]
     want = [[None] if cands == [None, None] else cands for cands in want]
-    target, coeffs = _scaled(r, fs)
+    _, target, *coeffs = _scaled(r, *fs)
     got = _tropical_options(list(_scaled_rows(coeffs[0], coeffs[1])),
                             _tropical_anchor_pool(target, coeffs)[1], coeffs[2])
     assert [list(cands) for cands in got] == want

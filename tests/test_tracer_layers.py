@@ -173,7 +173,9 @@ def test_value_op_counters():
 
 
 # both divisions decide the root and find their split from one list of
-# terms: no Newton polygon, no root list, no separate root test
+# terms: no Newton polygon, no root list, no separate root test; the
+# tropical division and the factorization run on scaled integer exponents,
+# so neither multiplies or compares a TropValue
 _COUNT_DIVISIONS = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -182,15 +184,19 @@ spec.loader.exec_module(tracer_module)
 from hyperpoly import TropValue, signs, sign_poly, tropical, trop_poly
 tracer = tracer_module.Tracer().install()
 steps = {"tropical": lambda: tropical.divide(trop_poly([1, 0, 1, 0]), TropValue.log(1)),
-         "sign": lambda: signs.divide_sign(sign_poly([1, 1, 1, 1]), -1)}
+         "sign": lambda: signs.divide_sign(sign_poly([1, 1, 1, 1]), -1),
+         "factor": lambda: tropical.factor(trop_poly([None, "1/2", 0, "1/3", "-1/6"]))}
 counts = {}
 for name, step in steps.items():
     before = tracer.snapshot()
-    quotient = str(step())
+    answer = step()
     after = tracer.snapshot()
-    counts[name] = [quotient, {k: after[k] - before[k] for k in (
+    if name == "factor":
+        answer = " ".join(map(str, [answer[0], *answer[1]]))
+    counts[name] = [str(answer), {k: after[k] - before[k] for k in (
         "tropical.newton_polygon.calls", "tropical.roots_with_multiplicities.calls",
-        "polynomials.is_root.calls")}]
+        "polynomials.is_root.calls", "fields.TropValue.__mul__.calls",
+        "fields.TropValue.__lt__.calls")}]
 print(json.dumps(counts))
 """
 
@@ -200,5 +206,11 @@ def test_division_counters():
     out = subprocess.run([sys.executable, "-c", _COUNT_DIVISIONS, str(TRACER)], env=env,
                          capture_output=True, text=True, check=True).stdout
     none = {"tropical.newton_polygon.calls": 0, "tropical.roots_with_multiplicities.calls": 0,
-            "polynomials.is_root.calls": 0}
-    assert json.loads(out) == {"tropical": ["0:T^2+-1:T+0", none], "sign": ["T^2+T+1", none]}
+            "polynomials.is_root.calls": 0, "fields.TropValue.__mul__.calls": 0,
+            "fields.TropValue.__lt__.calls": 0}
+    # factor reads the one polygon that its root loci read
+    polygon_once = dict(none, **{"tropical.newton_polygon.calls": 1,
+                                 "tropical.roots_with_multiplicities.calls": 1})
+    assert json.loads(out) == {
+        "tropical": ["0:T^2+-1:T+0", none], "sign": ["T^2+T+1", none],
+        "factor": ["-1/6 0:T 0:T+1/12 0:T+1/12 0:T+1/2", polygon_once]}

@@ -1,8 +1,9 @@
 """Newton polygon, unique factorization, and the tropical division algorithm."""
 
 import random
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +13,7 @@ from hyperpoly import (
     ConstantPolynomialError,
     NotARootError,
     Polynomial,
+    RootLocus,
     TROPICAL,
     TropValue,
     divide,
@@ -25,7 +27,9 @@ from hyperpoly import (
     trop_poly,
 )
 
-from oracles import brute_search_quotients, hull_slopes, reference_divide
+from oracles import (brute_search_quotients, hull_slopes, reference_divide,
+                     reference_newton_polygon)
+from test_chain_search import HOSTILE
 
 L = TropValue.log
 Z = TropValue.zero()
@@ -222,7 +226,7 @@ def free_poly(draw):
 def test_divide_matches_reference(p, others):
     # every root, some other values and zero: the same quotient, or a
     # NotARootError with the same message
-    roots = {TropValue(s) for s in newton_polygon(p).slopes}
+    roots = {TropValue(s) for s in reference_newton_polygon(p).slopes}
     for a in sorted(roots | set(others) | {Z}, key=TropValue.sort_key):
         try:
             expected = reference_divide(p, a)
@@ -232,6 +236,67 @@ def test_divide_matches_reference(p, others):
             assert str(got.value) == str(e)
         else:
             assert divide(p, a) == expected, (str(p), str(a))
+
+
+def _check_polygon_against_reference(p):
+    """The polygon, its vertex and slope types, and the root loci and
+    factorization built from the reference polygon's slopes alone: one
+    locus per run of equal slopes, the zero root first."""
+    want = reference_newton_polygon(p)
+    got = newton_polygon(p)
+    assert got == want, str(p)
+    assert [type(h) for _, h in got.vertices] == [type(h) for _, h in want.vertices]
+    assert [type(s) for s in got.slopes] == [type(s) for s in want.slopes]
+    zero_mult = want.zero_root_multiplicity
+    runs = []  # [slope, multiplicity, 1-based start]
+    for k, slope in enumerate(want.slopes, start=zero_mult + 1):
+        if runs and runs[-1][0] == slope:
+            runs[-1][1] += 1
+        else:
+            runs.append([slope, 1, k])
+    loci = ([RootLocus(Z, zero_mult, 1)] if zero_mult else []) + [
+        RootLocus(TropValue(slope), m, k) for slope, m, k in runs]
+    assert roots_with_multiplicities(p) == loci, str(p)
+    linear = [Polynomial(TROPICAL, (locus.root, TROPICAL.one))
+              for locus in loci for _ in range(locus.multiplicity)]
+    assert factor(p) == (p.lead, linear), str(p)
+
+
+@st.composite
+def wide_poly(draw):
+    """Degree 1-48: up to four leading zeros, then coefficients that may be
+    the zero, then a nonzero lead."""
+    n = draw(st.integers(1, 48))
+    zeros = draw(st.integers(0, min(n, 4)))
+    rest = draw(st.lists(VALUES, min_size=n - zeros, max_size=n - zeros))
+    return Polynomial(TROPICAL, (Z,) * zeros + tuple(rest) + (L(draw(EXPONENTS)),))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(wide_poly(), root_built_poly()))
+def test_newton_polygon_matches_reference(p):
+    _check_polygon_against_reference(p)
+
+
+def test_hostile_denominators_polygon_matches_reference():
+    # coefficient i has denominator HOSTILE[i % 4], and the top four are
+    # nonzero, so the scale of every case is the lcm of all four
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(3, 48)
+        coeffs = [L(rng.randint(-2, 2) + Fraction(rng.choice((-2, -1, 1, 2)), HOSTILE[i % 4]))
+                  for i in range(n + 1)]
+        for i in range(n - 3):
+            if rng.random() < 0.25:
+                coeffs[i] = Z
+        p = Polynomial(TROPICAL, tuple(coeffs))
+        assert len(str(lcm(*(c.exponent.denominator for c in coeffs if not c.is_zero)))) > 1300
+        start = time.perf_counter()
+        _check_polygon_against_reference(p)
+        for locus in roots_with_multiplicities(p):
+            assert divide(p, locus.root) == reference_divide(p, locus.root), seed
+        assert time.perf_counter() - start < 1, seed
 
 
 def test_maximality_single_raise_fails():
