@@ -23,11 +23,10 @@ lcm of their denominators: the scaling turns every exponent into an
 int and keeps order and sums, so the search adds and compares plain
 ints and decides what it would on Fractions.  ``_scaled`` is the one
 encoder for this, shared with the Newton polygon and tropical division
-in ``tropical``.  The search can miss members.  It refuses a target
-above the all-tops chain at once, and a product of linear
-factors is decided by the exact closed-form criterion (each coefficient
-bounded by the product of the larger roots, with equality forced at
-strict root increases).
+in ``tropical``, as ``_lower_hull`` is the one hull routine.  A target
+failing the all-tops check ``_linear_tropical_member`` is refused at
+once; no member fails it and it decides linear factors, so the search,
+which can miss members, runs only with a factor of degree two or more.
 
 Division by T - a is a chain of relations, relation i linking only d_{i-1}
 and d_i: ``_linear_relation`` states them, ``divides_linearly`` checks a
@@ -302,8 +301,6 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
         return False
     if len(fs) == 2:
         return _in_rows(f, r.coeffs, fs[0].coeffs, fs[1].coeffs)
-    if f is TROPICAL and all(q.degree == 1 for q in fs):
-        return _linear_tropical_member(r, fs)
     return _chain_member(r, fs)
 
 
@@ -313,47 +310,23 @@ def _in_rows(f, r: tuple, c: tuple, d: tuple) -> bool:
     return len(rows) == len(r) and all(f.subset_contains(row, x) for row, x in zip(rows, r))
 
 
-def _linear_tropical_member(r: Polynomial, fs) -> bool:
-    """Closed-form membership in a product of linear tropical factors.
-
-    After normalizing by the unit, the coefficients of a member satisfy
-    c_i <= a_{i+1} ... a_n (suffix product of the sorted roots), with
-    equality when i = 0 or a_i < a_{i+1}.
-    """
-    f = TROPICAL
-    unit = f.one
-    roots = []
-    for q in fs:
-        unit = f.mul(unit, q.lead)
-        roots.append(f.mul(q.coeffs[0], f.inv(q.lead)))
-    roots.sort()
-    c = r.scale(f.inv(unit)).coeffs
-    suffix = f.one
-    for i in range(len(roots) - 1, -1, -1):
-        suffix = f.mul(suffix, roots[i])  # a_{i+1} ... a_n, 1-based
-        if i == 0 or roots[i - 1] < roots[i]:
-            if c[i] != suffix:
-                return False
-        elif not c[i] <= suffix:
-            return False
-    return True
-
-
 def _chain_member(r: Polynomial, fs) -> bool:
     """Depth-first search over the intermediate coefficient tuples: a sign
     step tries the members of the two-factor product, a tropical step the
     candidates of ``_tropical_options``, and the last step checks r row by row.
 
-    The tropical search runs on ``_scaled`` exponents, plain ints."""
+    The tropical search runs on ``_scaled`` exponents, plain ints, after
+    ``_linear_tropical_member``, which alone decides linear factors."""
     last = len(fs) - 1
     if r.field is TROPICAL:
         _, target, *coeffs = _scaled(r, *fs)
-        # every member lies coefficientwise below the all-tops chain
         tops = coeffs[0]
         for d in coeffs[1:]:
             tops = tuple(top for top, _ in _scaled_rows(tops, d))
-        if not all(_at_most(c, t) for c, t in zip(target, tops)):
+        if not _linear_tropical_member(target, tops):
             return False
+        if all(len(d) == 2 for d in coeffs):
+            return True
         anchor_pool = _tropical_anchor_pool(target, coeffs)
 
         def children(cs, idx):
@@ -408,6 +381,35 @@ def _scaled(*values) -> tuple:
                for es in exps]
     return (scale, *(e[0] if isinstance(v, TropValue) else e
                      for v, e in zip(values, encoded)))
+
+
+def _linear_tropical_member(target: tuple, tops: tuple) -> bool:
+    """Whether scaled ``target`` is at most the all-tops chain ``tops`` and
+    equal to it at each vertex of its hull: true of every chain member,
+    and for linear factors exactly membership.
+
+    ``tops`` is the max-plus product of the factors, so its hull is the
+    Minkowski sum of theirs.  By induction a member w of the chain so far
+    has the hull of its all-tops chain U, and at a vertex k + l of the sum
+    w_k q_l = U_k q_l strictly beats the rest of its row, a singleton.
+    Linear factors' tops are suffix products of the sorted roots, with
+    vertices where the roots strictly increase: the closed form."""
+    points = [(i, -t) for i, t in enumerate(tops) if t is not None]
+    return all(_at_most(c, t) for c, t in zip(target, tops)) and (
+        target == tops or all(target[i] == tops[i] for i, _ in _lower_hull(points)))
+
+
+def _lower_hull(points) -> list:
+    """Monotone-chain lower hull of points sorted by x; collinear ones are no vertices."""
+    hull = []
+    for x, y in points:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
 
 
 def _at_most(c, top) -> bool:

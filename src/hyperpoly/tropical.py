@@ -20,10 +20,11 @@ sign field, offering each position its maximal value or a lowered one.
 
 The hull and the division run on exponents scaled to ints by
 ``polynomials._scaled``, the one encoder that the chain search uses as
-well.  The scaling keeps order and sums, so they decide on ints what
-they would on Fractions, and only answers are decoded: a hull vertex
-keeps p's own height, a slope is decoded once per hull segment, and a
-quotient coefficient copied from p is p's own value.
+well, and the hull is its ``_lower_hull``.  The scaling keeps order and
+sums, so they decide on ints what they would on Fractions, and only
+answers are decoded: a hull vertex keeps p's own height, a slope is
+decoded once per hull segment, and a quotient coefficient copied from p
+is p's own value.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
-from .polynomials import Polynomial, _linear_quotients, _scaled, divides_linearly
+from .polynomials import Polynomial, _linear_quotients, _lower_hull, _scaled, divides_linearly
 
 __all__ = [
     "NewtonPolygon",
@@ -89,10 +90,6 @@ def _require_positive_degree(p: Polynomial):
         raise ConstantPolynomialError("a polynomial of degree >= 1 is required")
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def newton_polygon(p: Polynomial) -> NewtonPolygon:
     """Lower convex hull of the points (i, -e_i) over nonzero coefficients.
 
@@ -102,12 +99,7 @@ def newton_polygon(p: Polynomial) -> NewtonPolygon:
     scale, cs = _scaled(p)
     points = [(i, -e) for i, e in enumerate(cs) if e is not None]
     zero_mult = points[0][0]  # leading zero coefficients c_0..c_{l-1}
-
-    hull = []
-    for pt in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
-            hull.pop()
-        hull.append(pt)
+    hull = _lower_hull(points)
 
     slopes = []
     for (i1, h1), (i2, h2) in zip(hull, hull[1:]):

@@ -18,17 +18,21 @@ library's relation check ``is_quotient`` accepts; the tests check that
 check against the definition separately.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
 coefficients through ``product_coefficient_sets`` and ``_in_rows``, where the
-library runs it on integer-scaled exponents; the tests require the same
-verdict from both.  The Newton polygon reference is the monotone-chain
-hull on the Fraction heights themselves, where the library builds it on
-integer-scaled exponents; the tests require the same vertices, slopes
-and zero multiplicity from both.  The two division references reach the
-same quotients another way: tropical division by the sorted root list
-expanded from that reference polygon, and sign division by a root test
-followed by a second scan for the first sign flip.  The sign reference
-calls the library's ``is_root``, which ``divide_sign`` itself no longer
-uses: both divisions read the root test and the split off one list of
-terms.  The tests require the same quotient or the same error from both.
+library runs it on integer-scaled exponents, after a check against the
+hull of the all-tops chain that decides linear factors alone; the tests
+require the same verdict from both.  The closed form for linear factors,
+suffix products of the sorted roots on TropValue coefficients, is kept
+as a third reference for that check.  The Newton polygon reference is
+the monotone-chain hull on the Fraction heights themselves, where the
+library builds it on integer-scaled exponents; the tests require the
+same vertices, slopes and zero multiplicity from both.  The two division
+references reach the same quotients another way: tropical division by
+the sorted root list expanded from that reference polygon, and sign
+division by a root test followed by a second scan for the first sign
+flip.  The sign reference calls the library's ``is_root``, which
+``divide_sign`` itself no longer uses: both divisions read the root test
+and the split off one list of terms.  The tests require the same
+quotient or the same error from both.
 """
 
 from fractions import Fraction
@@ -286,8 +290,9 @@ def brute_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
 
 def reference_tropical_chain_member(r, fs):
     """The tropical branch of ``polynomials._chain_member`` on TropValue
-    coefficients: refuse a target above the all-tops chain, then search
-    the intermediates depth first over ``reference_tropical_options``."""
+    coefficients, without its hull check or its answer for linear
+    factors: refuse a target above the all-tops chain, then search the
+    intermediates depth first over ``reference_tropical_options``."""
     f = r.field
     last = len(fs) - 1
     # every member lies coefficientwise below the all-tops chain
@@ -313,6 +318,32 @@ def reference_tropical_chain_member(r, fs):
         return found
 
     return step(fs[0].coeffs, 1)
+
+
+def reference_linear_tropical_member(r, fs) -> bool:
+    """Closed-form membership in a product of linear tropical factors.
+
+    After normalizing by the unit, the coefficients of a member satisfy
+    c_i <= a_{i+1} ... a_n (suffix product of the sorted roots), with
+    equality when i = 0 or a_i < a_{i+1}.
+    """
+    f = TROPICAL
+    unit = f.one
+    roots = []
+    for q in fs:
+        unit = f.mul(unit, q.lead)
+        roots.append(f.mul(q.coeffs[0], f.inv(q.lead)))
+    roots.sort()
+    c = r.scale(f.inv(unit)).coeffs
+    suffix = f.one
+    for i in range(len(roots) - 1, -1, -1):
+        suffix = f.mul(suffix, roots[i])  # a_{i+1} ... a_n, 1-based
+        if i == 0 or roots[i - 1] < roots[i]:
+            if c[i] != suffix:
+                return False
+        elif not c[i] <= suffix:
+            return False
+    return True
 
 
 def reference_tropical_options(rows, anchors, next_factor) -> list:

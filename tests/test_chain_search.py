@@ -7,9 +7,11 @@ half-integer points cover the open interiors.  That makes the oracle
 below complete on such instances, at brute-force cost.  The search
 runs on exponents scaled to integers; the differential tests compare it
 with the same search on TropValue coefficients, over fractional
-exponents the grid does not cover.  The last tests pin the search's
-known limits: targets above the all-tops chain, and two four-factor
-members it misses.
+exponents the grid does not cover.  The last tests pin the check
+against the all-tops chain that comes before the search (targets above
+that chain or off it at a hull vertex are refused at once, and no
+explicit chain member is refused) and the search's known limit: two
+four-factor members it misses.
 """
 
 import os
@@ -30,8 +32,8 @@ import hyperpoly
 from hyperpoly import (Polynomial, TROPICAL, TropValue, in_product, product_coefficient_sets,
                        trop_poly)
 from hyperpoly.parsing import format_polynomial, parse_polynomial
-from hyperpoly.polynomials import (_chain_member, _scaled, _scaled_rows,
-                                   _tropical_anchor_pool, _tropical_options)
+from hyperpoly.polynomials import (_chain_member, _linear_tropical_member, _scaled,
+                                   _scaled_rows, _tropical_anchor_pool, _tropical_options)
 
 from oracles import (reference_tropical_anchor_pool, reference_tropical_chain_member,
                      reference_tropical_options)
@@ -169,6 +171,17 @@ def test_target_above_the_all_tops_chain_is_refused_at_once():
     assert in_product(trop_poly([0] * 17), fs)
 
 
+def test_target_below_the_all_tops_chain_is_refused_at_once():
+    # the README's example: it lies below the all-tops chain but misses
+    # its value at a hull vertex, where the search backtracked for seconds
+    r = parse_polynomial("0:T^10+-2:T^9+1:T^8+-1:T^7+5/3:T^6+-1:T^5+2:T^4+-1:T^3"
+                         "+2:T^2+-1:T+2", TROPICAL)
+    fs = _parse_all("0:T^2+-3:T+0;0:T^2+-2:T+1;0:T^2+-3:T+0;0:T^2+-2:T+1;0:T^2+-3:T+0")
+    start = time.perf_counter()
+    assert not in_product(r, fs)
+    assert time.perf_counter() - start < 0.1
+
+
 # (target, factors, witness intermediates): members the search misses
 MISSED_MEMBERS = [
     ("-4:T^5+-2:T^4+-4:T^3+1:T+2", "-1:T^2+-1:T+1;-1:T+0;-1:T+0;-1:T+1",
@@ -194,6 +207,19 @@ def test_missed_member_witness_checks_out_link_by_link(target, factors, chain):
 @pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
 def test_missed_member_is_found(target, factors, chain):
     assert in_product(parse_polynomial(target, TROPICAL), _parse_all(factors))
+
+
+def _passes_the_hull_check(r, fs):
+    tops = fs[0]
+    for q in fs[1:]:
+        tops = Polynomial(TROPICAL, tuple(row.top for row in product_coefficient_sets(tops, q)))
+    _, target, scaled_tops = _scaled(r, tops)
+    return _linear_tropical_member(target, scaled_tops)
+
+
+def test_missed_members_pass_the_hull_check():
+    for target, factors, _ in MISSED_MEMBERS:
+        assert _passes_the_hull_check(parse_polynomial(target, TROPICAL), _parse_all(factors))
 
 
 # exponents with denominators 1-7; None is the tropical zero
@@ -244,6 +270,25 @@ def chain_question(draw):
         step = draw(STEPS)
         cs[i] = TropValue(step if cs[i].is_zero else cs[i].exponent + step)
     return Polynomial(TROPICAL, tuple(cs)), fs
+
+
+@st.composite
+def chain_member(draw):
+    """The end of an explicit left-nested chain of 2-5 factors."""
+    fs = draw(st.lists(tropical_factor(), min_size=2, max_size=5))
+    current = fs[0]
+    for q in fs[1:]:
+        current = Polynomial(TROPICAL, tuple(_draw_member(draw, row)
+                                             for row in product_coefficient_sets(current, q)))
+    return current, fs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(chain_member())
+def test_no_chain_member_fails_the_hull_check(question):
+    r, fs = question
+    assert _passes_the_hull_check(r, fs), (str(r), [str(q) for q in fs])
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,

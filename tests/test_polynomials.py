@@ -28,9 +28,8 @@ from hyperpoly import (
     trop_poly,
 )
 from hyperpoly.errors import DegreeBoundExceeded
-from hyperpoly.polynomials import _chain_member, _linear_tropical_member
-
-from oracles import raw_sign_product_rows, raw_sign_product_members, raw_sign_roots
+from oracles import (raw_sign_product_rows, raw_sign_product_members, raw_sign_roots,
+                     reference_linear_tropical_member, reference_tropical_chain_member)
 
 L = TropValue.log
 
@@ -271,21 +270,34 @@ def test_divides_linearly_matches_product_sets():
 
 
 def test_linear_tropical_member_agrees_with_chain_search():
+    # in_product decides linear factors by the all-tops hull check alone;
+    # the closed form on sorted roots and the plain search must agree
     rng = random.Random(5)
+
+    def exponent():
+        return L(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+
+    members = 0
     for _ in range(60):
-        factors = [Polynomial(TROPICAL, (L(rng.randint(-3, 3)), L(rng.randint(-2, 2))))
-                   for _ in range(3)]
+        factors = [Polynomial(TROPICAL, (TROPICAL.zero if rng.random() < 0.2 else exponent(),
+                                         exponent()))
+                   for _ in range(rng.randint(3, 7))]
         # candidates drawn near the actual product profile
         base = [s.top for s in _chain_rows(factors)]
         for _ in range(8):
             coeffs = list(base)
             idx = rng.randrange(len(coeffs) - 1)
-            if not coeffs[idx].is_zero:
-                coeffs[idx] = TropValue(coeffs[idx].exponent - Fraction(rng.randint(0, 2)))
+            if rng.random() < 0.2:
+                coeffs[idx] = TROPICAL.zero
+            elif not coeffs[idx].is_zero:
+                coeffs[idx] = TropValue(coeffs[idx].exponent - Fraction(rng.randint(0, 2),
+                                                                        rng.randint(1, 4)))
             r = Polynomial(TROPICAL, tuple(coeffs))
-            if r.degree != 3:
-                continue
-            assert _linear_tropical_member(r, factors) == _chain_member(r, factors)
+            want = reference_linear_tropical_member(r, factors)
+            assert in_product(r, factors) == want, (str(r), [str(q) for q in factors])
+            assert reference_tropical_chain_member(r, factors) == want
+            members += want
+    assert 100 < members < 380
 
 
 def _chain_rows(factors):

@@ -95,6 +95,45 @@ def test_tropical_chain_counters():
                       "fields.trop_hyperadd.calls": 0}
 
 
+# a chain of linear tropical factors is decided by the all-tops hull check
+# on scaled ints: no Polynomial, no comparison of TropValues, and only
+# in_product's end-coefficient check multiplies them, twice per factor
+_COUNT_LINEAR_CHAIN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import TROPICAL, Polynomial, polynomials, product_coefficient_sets, trop_poly
+factors = [trop_poly(["1/2", 0]), trop_poly([None, 0]), trop_poly([-1, 0]),
+           trop_poly(["1/2", 0]), trop_poly([2, "1/3"])]
+tops = factors[0]
+for q in factors[1:]:
+    tops = Polynomial(TROPICAL, tuple(row.top for row in product_coefficient_sets(tops, q)))
+tracer = tracer_module.Tracer().install()
+before = tracer.snapshot()
+member = polynomials.in_product(tops, factors)
+after = tracer.snapshot()
+print(json.dumps([member, {k: after[k] - before[k] for k in (
+    "polynomials._chain_member.calls", "polynomials._linear_tropical_member.calls",
+    "polynomials.Polynomial.__post_init__.calls", "polynomials._product_rows.calls",
+    "fields.TropValue.__mul__.calls", "fields.TropValue.__lt__.calls")}]))
+"""
+
+
+def test_linear_tropical_chain_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_LINEAR_CHAIN, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    member, counts = json.loads(out)
+    assert member is True
+    assert counts == {"polynomials._chain_member.calls": 1,
+                      "polynomials._linear_tropical_member.calls": 1,
+                      "polynomials.Polynomial.__post_init__.calls": 0,
+                      "polynomials._product_rows.calls": 0,
+                      "fields.TropValue.__mul__.calls": 10,
+                      "fields.TropValue.__lt__.calls": 0}
+
+
 # the sign product kernels read coefficient tuples: a Polynomial is built
 # for an answer only, never to wrap an operand of _product_rows
 _COUNT_SIGN_PRODUCTS = """
