@@ -112,7 +112,7 @@ def cmd_newton(args, field, p):
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.write(render_newton_svg(p, polygon))
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.svg}: {exc.strerror or exc}") from None
+            raise _UsageError(f"cannot write {args.svg[:20]}: {exc.strerror or exc}") from None
     return data, None
 
 

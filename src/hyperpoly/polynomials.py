@@ -12,21 +12,25 @@ over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
 The product kernels read plain coefficient tuples; a ``Polynomial`` is
 built only at the API edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
-is not associative, so the nesting matters).  Membership for three or
-more factors is one depth-first search over the chain's intermediates,
-ending in the two-factor row check.  A sign step tries every member of
-the two-factor product, so that search is exhaustive.  A tropical
-intermediate coefficient lies in a singleton or an interval [0, top]; a
-step tries the top first, then tie values derived from the target and
-the remaining factors.  That search runs on exponents scaled by the
-lcm of their denominators: the scaling turns every exponent into an
-int and keeps order and sums, so the search adds and compares plain
+is not associative, so the nesting matters).  Membership for two or more
+factors is one depth-first search over the chain's intermediates, ending
+in the two-factor row check, which alone decides two factors.  The end
+coefficients of a member are forced, the products of the factors' ends.
+A sign search checks them on the ints first; a sign step tries every
+member of the two-factor product, so that search is exhaustive.  A
+tropical intermediate coefficient lies in a singleton or an interval
+[0, top]; a step tries the top first, then tie values derived from the
+target and the remaining factors.  That search runs on exponents scaled
+by the lcm of their denominators: the scaling turns every exponent into
+an int and keeps order and sums, so the search adds and compares plain
 ints and decides what it would on Fractions.  ``_scaled`` is the one
 encoder for this, shared with the Newton polygon and tropical division
 in ``tropical``, as ``_lower_hull`` is the one hull routine.  A target
 failing the all-tops check ``_linear_tropical_member`` is refused at
-once; no member fails it and it decides linear factors, so the search,
-which can miss members, runs only with a factor of degree two or more.
+once; no member fails it, it decides the end coefficients and linear
+factors, so tropical membership multiplies no ``TropValue`` and the
+search, which can miss members, runs only with a factor of degree two
+or more.
 
 Division by T - a is a chain of relations, relation i linking only d_{i-1}
 and d_i: ``_linear_relation`` states them, ``divides_linearly`` checks a
@@ -275,7 +279,8 @@ def _linear_quotients(p: Polynomial, a, options, budget: int = 0) -> list:
 
 
 def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
-    """Decide r in q1 * q2 * ... * qn with the left-nested n-fold product."""
+    """Decide r in q1 * q2 * ... * qn with the left-nested n-fold product:
+    one factor is r itself, and ``_chain_member`` decides two or more."""
     fs = list(factors)
     if not fs:
         raise ValueError("at least one factor is required")
@@ -290,33 +295,19 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
         return r == fs[0]
     if r.degree != sum(q.degree for q in fs):
         return False
-    # the top and bottom rows are single-term hypersums at every nesting
-    # level, so both end coefficients of any member are forced exactly
-    lead = f.one
-    const = f.one
-    for q in fs:
-        lead = f.mul(lead, q.lead)
-        const = f.mul(const, q.coeffs[0])
-    if r.lead != lead or r.coeffs[0] != const:
-        return False
-    if len(fs) == 2:
-        return _in_rows(f, r.coeffs, fs[0].coeffs, fs[1].coeffs)
     return _chain_member(r, fs)
-
-
-def _in_rows(f, r: tuple, c: tuple, d: tuple) -> bool:
-    """r in c * d for coefficient tuples over f: each r_i lies in row i of cross terms."""
-    rows = _product_rows(f, c, d)
-    return len(rows) == len(r) and all(f.subset_contains(row, x) for row, x in zip(rows, r))
 
 
 def _chain_member(r: Polynomial, fs) -> bool:
     """Depth-first search over the intermediate coefficient tuples: a sign
     step tries the members of the two-factor product, a tropical step the
-    candidates of ``_tropical_options``, and the last step checks r row by row.
+    candidates of ``_tropical_options``, and the last step checks r row by
+    row; with two factors that check is the whole answer.
 
-    The tropical search runs on ``_scaled`` exponents, plain ints, after
-    ``_linear_tropical_member``, which alone decides linear factors."""
+    A sign target must first have the forced end coefficients, the
+    products of the factors' ends.  The tropical search runs on
+    ``_scaled`` exponents, plain ints, after ``_linear_tropical_member``,
+    which decides the ends and alone decides linear factors."""
     last = len(fs) - 1
     if r.field is TROPICAL:
         _, target, *coeffs = _scaled(r, *fs)
@@ -339,12 +330,16 @@ def _chain_member(r: Polynomial, fs) -> bool:
                 for c, (top, tied) in zip(target, _scaled_rows(cs, coeffs[last])))
     else:
         coeffs = [q.coeffs for q in fs]
+        if (r.coeffs[0] != math.prod(c[0] for c in coeffs)
+                or r.coeffs[-1] != math.prod(c[-1] for c in coeffs)):
+            return False
 
         def children(cs, idx):
             return _product_members(cs, coeffs[idx])
 
-        def is_last_link(cs):
-            return _in_rows(SIGN, r.coeffs, cs, coeffs[last])
+        def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with r
+            rows = _product_rows(SIGN, cs, coeffs[last])
+            return all(x in row for x, row in zip(r.coeffs, rows))
 
     seen = set()  # (step, intermediate) pairs already explored without success
 

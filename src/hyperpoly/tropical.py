@@ -155,7 +155,7 @@ def divide(p: Polynomial, a: TropValue) -> Polynomial:
     terms = [None if x is None else x + i * e for i, x in enumerate(cs)]
     top = max(t for t in terms if t is not None)
     if terms.count(top) < 2:
-        raise NotARootError(f"{a} is not a root of the polynomial")
+        raise NotARootError(f"{str(a)[:20]} is not a root of the polynomial")
     j = terms.index(top)
 
     d = [TROPICAL.zero] * n

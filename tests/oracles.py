@@ -17,12 +17,13 @@ oracle likewise perturbs ``divide``'s answer and keeps what the
 library's relation check ``is_quotient`` accepts; the tests check that
 check against the definition separately.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
-coefficients through ``product_coefficient_sets`` and ``_in_rows``, where the
-library runs it on integer-scaled exponents, after a check against the
-hull of the all-tops chain that decides linear factors alone; the tests
-require the same verdict from both.  The closed form for linear factors,
-suffix products of the sorted roots on TropValue coefficients, is kept
-as a third reference for that check.  The Newton polygon reference is
+coefficients through ``product_coefficient_sets`` and
+``TropSubset.contains``, where the library runs it on integer-scaled
+exponents, after a check against the hull of the all-tops chain that
+decides the end coefficients and linear factors alone; the tests require
+the same verdict from both.  The closed form for linear factors, suffix
+products of the sorted roots on TropValue coefficients, is kept as a
+third reference for that check.  The Newton polygon reference is
 the monotone-chain hull on the Fraction heights themselves, where the
 library builds it on integer-scaled exponents; the tests require the
 same vertices, slopes and zero multiplicity from both.  The two division
@@ -44,7 +45,6 @@ from hyperpoly import (SIGN, TROPICAL, ConstantPolynomialError, InternalInvarian
                        NewtonPolygon, NotARootError, Polynomial, TropValue,
                        all_quotients_sign, divide, is_quotient, is_root, poly_sort_key,
                        product_coefficient_sets)
-from hyperpoly.polynomials import _in_rows
 
 # the binary sign hyperaddition, written out
 SIGN_TABLE = {
@@ -292,7 +292,8 @@ def reference_tropical_chain_member(r, fs):
     """The tropical branch of ``polynomials._chain_member`` on TropValue
     coefficients, without its hull check or its answer for linear
     factors: refuse a target above the all-tops chain, then search the
-    intermediates depth first over ``reference_tropical_options``."""
+    intermediates depth first over ``reference_tropical_options`` and check
+    the last link row by row, which alone decides two factors."""
     f = r.field
     last = len(fs) - 1
     # every member lies coefficientwise below the all-tops chain
@@ -308,7 +309,9 @@ def reference_tropical_chain_member(r, fs):
         if (idx, cs) in seen:
             return False
         if idx == last:
-            found = _in_rows(f, r.coeffs, cs, fs[idx].coeffs)
+            rows = product_coefficient_sets(Polynomial(f, cs), fs[idx])
+            found = len(rows) == len(r.coeffs) and all(
+                row.contains(x) for row, x in zip(rows, r.coeffs))
         else:
             rows = product_coefficient_sets(Polynomial(f, cs), fs[idx])
             options = reference_tropical_options(rows, anchor_pool[idx], fs[idx + 1])

@@ -5,9 +5,10 @@ at an integer, so a half-step grid over a wide enough range (plus zero)
 hits a witness whenever one exists: integer points cover the ties and
 half-integer points cover the open interiors.  That makes the oracle
 below complete on such instances, at brute-force cost.  The search
-runs on exponents scaled to integers; the differential tests compare it
-with the same search on TropValue coefficients, over fractional
-exponents the grid does not cover.  The last tests pin the check
+runs on exponents scaled to integers; the differential tests compare
+``in_product`` with the same search on TropValue coefficients, over
+fractional exponents the grid does not cover, two to four factors, and
+targets off the forced end coefficients.  The last tests pin the check
 against the all-tops chain that comes before the search (targets above
 that chain or off it at a hull vertex are refused at once, and no
 explicit chain member is refused) and the search's known limit: two
@@ -248,20 +249,30 @@ def _draw_member(draw, row):
 
 @st.composite
 def chain_question(draw):
-    """Factors and a target: the end of an explicit chain, or the all-tops
-    chain with middle coefficients lowered, or with one raised."""
-    fs = draw(st.lists(tropical_factor(), min_size=3, max_size=4))
-    mode = draw(st.sampled_from(("chain", "lowered", "raised")))
+    """Factors and a target: the end of an explicit chain, that end with its
+    constant raised, lowered or zeroed or its lead raised or lowered, or
+    the all-tops chain with middle coefficients lowered, or with one raised."""
+    fs = draw(st.lists(tropical_factor(), min_size=2, max_size=4))
+    mode = draw(st.sampled_from(("chain", "ends", "lowered", "raised")))
     current = fs[0]
     for q in fs[1:]:
         rows = product_coefficient_sets(current, q)
-        if mode == "chain":
+        if mode in ("chain", "ends"):
             current = Polynomial(TROPICAL, tuple(_draw_member(draw, row) for row in rows))
         else:
             current = Polynomial(TROPICAL, tuple(row.top for row in rows))
     cs = list(current.coeffs)
     middle = range(1, len(cs) - 1)
-    if mode == "lowered":
+    if mode == "ends":
+        # a zero lead would lower the degree
+        i, change = draw(st.sampled_from([(0, "raised"), (0, "lowered"), (0, "zero"),
+                                          (-1, "raised"), (-1, "lowered")]))
+        if change == "zero" or change == "lowered" and cs[i].is_zero:
+            cs[i] = TROPICAL.zero
+        else:
+            step = draw(STEPS) if change == "raised" else -draw(STEPS)
+            cs[i] = TropValue(step if cs[i].is_zero else cs[i].exponent + step)
+    elif mode == "lowered":
         for i in draw(st.sets(st.sampled_from(middle), min_size=1)):
             cs[i] = (TROPICAL.zero if cs[i].is_zero or draw(st.booleans())
                      else TropValue(cs[i].exponent - draw(STEPS)))
@@ -296,8 +307,10 @@ def test_no_chain_member_fails_the_hull_check(question):
 @given(chain_question())
 def test_scaled_search_matches_the_tropvalue_reference(question):
     r, fs = question
-    assert _chain_member(r, fs) == reference_tropical_chain_member(r, fs), (
+    assert in_product(r, fs) == reference_tropical_chain_member(r, fs), (
         str(r), [str(q) for q in fs])
+    if len(fs) == 2:
+        return  # the last link is the first step: no candidates offered
     # the first step offers the same candidates in the same order, scaled,
     # except that a row {zero} offers zero once
     scale = lcm(*(c.exponent.denominator for p in (r, *fs) for c in p.coeffs if not c.is_zero))

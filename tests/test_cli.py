@@ -178,7 +178,7 @@ HOSTILE_POLYS = ["--", "[" * 100_000, BRACKETS,
                  '{"field": "sign", "coeffs": ' + "[" * 100_000, "[1e400]", "[nan, 0]",
                  "[1/0, 1]", "T^10001", "[" + ", ".join(["1"] * 2001) + "]", "",
                  "9" * 4299]
-HOSTILE_VALUES = ["--", "1/0", ""]
+HOSTILE_VALUES = ["--", "1/0", "", "9" * 4299]
 SAFE_VALUES = {"--root": "1", "--factors": "T+1"}
 
 

@@ -57,15 +57,15 @@ def test_in_product_path_counters():
     env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _COUNT_PATHS, str(TRACER)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    two, three = json.loads(out)
-    assert two == {"polynomials.in_product.two_factor.calls": 1,
-                   "polynomials._chain_member.calls": 0}
-    assert three == {"polynomials.in_product.two_factor.calls": 0,
-                     "polynomials._chain_member.calls": 1}
+    # every product of two or more factors takes the one chain path
+    for counts in json.loads(out):
+        assert counts == {"polynomials.in_product.two_factor.calls": 0,
+                          "polynomials._chain_member.calls": 1}
 
 
-# a three-factor tropical membership decided by the chain search, which
-# runs on scaled integer exponents: no row sets, no hypersums
+# a three-factor and a two-factor tropical membership decided by the chain
+# search, which runs on scaled integer exponents: no row sets, no
+# hypersums, no multiplied TropValues
 _COUNT_TROPICAL_CHAIN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -73,14 +73,20 @@ tracer_module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_module)
 from hyperpoly import polynomials, trop_poly
 tracer = tracer_module.Tracer().install()
-factors = [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])]
-target = trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"])
-before = tracer.snapshot()
-member = polynomials.in_product(target, factors)
-after = tracer.snapshot()
-print(json.dumps([member, {k: after[k] - before[k] for k in (
-    "polynomials._chain_member.calls", "polynomials._product_rows.calls",
-    "fields.trop_hyperadd.calls")}]))
+questions = [
+    (trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"]),
+     [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])]),
+    (trop_poly(["1/2", "1/2", "-1/3", 0]), [trop_poly(["1/2", 0, 0]), trop_poly([0, 0])]),
+]
+out = []
+for target, factors in questions:
+    before = tracer.snapshot()
+    member = polynomials.in_product(target, factors)
+    after = tracer.snapshot()
+    out.append([member, {k: after[k] - before[k] for k in (
+        "polynomials._chain_member.calls", "polynomials._product_rows.calls",
+        "fields.trop_hyperadd.calls", "fields.TropValue.__mul__.calls")}])
+print(json.dumps(out))
 """
 
 
@@ -88,16 +94,16 @@ def test_tropical_chain_counters():
     env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _COUNT_TROPICAL_CHAIN, str(TRACER)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    member, counts = json.loads(out)
-    assert member is True
-    assert counts == {"polynomials._chain_member.calls": 1,
-                      "polynomials._product_rows.calls": 0,
-                      "fields.trop_hyperadd.calls": 0}
+    for member, counts in json.loads(out):
+        assert member is True
+        assert counts == {"polynomials._chain_member.calls": 1,
+                          "polynomials._product_rows.calls": 0,
+                          "fields.trop_hyperadd.calls": 0,
+                          "fields.TropValue.__mul__.calls": 0}
 
 
 # a chain of linear tropical factors is decided by the all-tops hull check
-# on scaled ints: no Polynomial, no comparison of TropValues, and only
-# in_product's end-coefficient check multiplies them, twice per factor
+# on scaled ints: no Polynomial, and no TropValue multiplied or compared
 _COUNT_LINEAR_CHAIN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -116,7 +122,8 @@ after = tracer.snapshot()
 print(json.dumps([member, {k: after[k] - before[k] for k in (
     "polynomials._chain_member.calls", "polynomials._linear_tropical_member.calls",
     "polynomials.Polynomial.__post_init__.calls", "polynomials._product_rows.calls",
-    "fields.TropValue.__mul__.calls", "fields.TropValue.__lt__.calls")}]))
+    "fields.trop_hyperadd.calls", "fields.TropValue.__mul__.calls",
+    "fields.TropValue.__lt__.calls")}]))
 """
 
 
@@ -130,7 +137,8 @@ def test_linear_tropical_chain_counters():
                       "polynomials._linear_tropical_member.calls": 1,
                       "polynomials.Polynomial.__post_init__.calls": 0,
                       "polynomials._product_rows.calls": 0,
-                      "fields.TropValue.__mul__.calls": 10,
+                      "fields.trop_hyperadd.calls": 0,
+                      "fields.TropValue.__mul__.calls": 0,
                       "fields.TropValue.__lt__.calls": 0}
 
 
