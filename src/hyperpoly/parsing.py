@@ -47,15 +47,16 @@ def _quoted(token) -> str:
 def parse_element(text: str, field, column=None):
     try:
         return field.parse_element(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:  # Fraction's own message is its repr, Fraction(1, 0)
+        detail = "zero denominator"
+    except ValueError as exc:
         # the field's own message may end by quoting the token again, whole
         # or cut to 200 characters: that quote is cut the same way
         token, detail = text.strip(), str(exc)
         echo = detail.find(repr(token)[:21])
         if echo >= 0:
             detail = detail[:echo] + _quoted(token)
-        raise PolynomialParseError(f"bad {field.name} value {_quoted(text)}: {detail}",
-                                   column) from None
+    raise PolynomialParseError(f"bad {field.name} value {_quoted(text)}: {detail}", column)
 
 
 def _monomial_exponent(text: str, column: int) -> int:

@@ -32,10 +32,11 @@ factors, so tropical membership multiplies no ``TropValue`` and the
 search, which can miss members, runs only with a factor of degree two
 or more.
 
-Division by T - a is a chain of relations, relation i linking only d_{i-1}
-and d_i: ``_linear_relation`` states them, ``divides_linearly`` checks a
-given q, and ``_linear_quotients`` walks them to list the quotients of
-both fields.
+A quotient q of p by T - a is a q with p in (T - a) * q, so
+``divides_linearly`` checks a given q as membership in that two-factor
+product, through ``_chain_member``.  Listing the quotients reads the
+product as a chain of relations, relation i linking only d_{i-1} and
+d_i, which ``_linear_quotients`` walks for both fields.
 """
 
 from __future__ import annotations
@@ -217,61 +218,42 @@ def pushforward(f: Callable, source, target_field) -> Polynomial:
 
 
 def divides_linearly(p: Polynomial, a, q: Polynomial) -> bool:
-    """Membership of p in (T - a) * q via the coefficient relations.
+    """Membership of p in (T - a) * q, decided by ``_chain_member``.
 
-    Over the tropical field -a = a, so the linear factor reads T + a.
-    The relations are: deg p = 1 + deg q, c_n = d_{n-1}, c_0 = (-a)d_0
-    and c_i in (-a)d_i + d_{i-1} for the middle indices.
-    """
+    Over the tropical field -a = a, so the linear factor reads T + a."""
     f = p.field
-    n = p.degree
-    if q.field is not f or q.is_zero or p.is_zero or q.degree != n - 1:
+    if q.field is not f or q.is_zero or p.is_zero or q.degree != p.degree - 1:
         return False
-    c, d = p.coeffs, (None,) + q.coeffs + (None,)
-    na = f.neg(a)
-    return all(_linear_relation(f, na, c[i], d[i], d[i + 1]) for i in range(n + 1))
-
-
-def _linear_relation(f, na, c_i, d_prev, d_i) -> bool:
-    """Relation i of p in (T - a) * q: c_i lies in (-a)d_i + d_{i-1}.
-
-    It involves only d_{i-1} and d_i.  At the ends one of them is out of
-    range and passed as None, and the relation is the equality
-    c_0 = (-a)d_0 or c_n = d_{n-1}.
-    """
-    if d_prev is None:
-        return c_i == f.mul(na, d_i)
-    if d_i is None:
-        return c_i == d_prev
-    return f.contains(c_i, [f.mul(na, d_i), d_prev])
+    return _chain_member(p, [Polynomial(f, (f.neg(a), f.one)), q])
 
 
 def _linear_quotients(p: Polynomial, a, options, budget: int = 0) -> list:
     """The q with p in (T - a) * q whose d_i come from options[i], sorted.
 
     options[i] holds (value, cost) pairs; a quotient's costs add up to at
-    most ``budget``.  The walk extends the prefixes d_0 .. d_{i-1} one
-    position at a time, grouped by their last value: relation i depends
-    only on d_{i-1} and d_i, so it is evaluated once per pair of values,
-    and a failed one drops the whole group.
+    most ``budget``.  Relation i reads c_i in (-a)d_i + d_{i-1}, with the
+    field's zero for d_{-1} and d_n: c in x + 0 means c = x, so the end
+    relations are the equalities c_0 = (-a)d_0 and c_n = d_{n-1}.  The
+    walk extends the prefixes d_0 .. d_{i-1} one position at a time,
+    grouped by their last value: relation i depends only on d_{i-1} and
+    d_i, so it is evaluated once per pair of values, and a failed one
+    drops the whole group.
     """
     f, c, n = p.field, p.coeffs, p.degree
     na = f.neg(a)
-    groups = {None: [((), budget)]}  # d_{i-1} -> [(d_0 .. d_{i-1}, budget left)]
+    groups = {f.zero: [((), budget)]}  # d_{i-1} -> [(d_0 .. d_{i-1}, budget left)]
     for i in range(n):
         grown = {}
         for prev, prefixes in groups.items():
             for v, cost in options[i]:
-                if _linear_relation(f, na, c[i], prev, v):
+                if f.contains(c[i], [f.mul(na, v), prev]):
                     for d, left in prefixes:
                         if cost <= left:
                             grown.setdefault(v, []).append((d + (v,), left - cost))
         groups = grown
-    found = []
-    for prev, prefixes in groups.items():
-        if _linear_relation(f, na, c[n], prev, None):
-            found += [Polynomial(f, d) for d, _ in prefixes]
-    return sorted(found, key=poly_sort_key)
+    # relation n, with d_n = 0
+    return sorted((Polynomial(f, d) for prev, prefixes in groups.items()
+                   if f.contains(c[n], [f.zero, prev]) for d, _ in prefixes), key=poly_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +284,8 @@ def _chain_member(r: Polynomial, fs) -> bool:
     """Depth-first search over the intermediate coefficient tuples: a sign
     step tries the members of the two-factor product, a tropical step the
     candidates of ``_tropical_options``, and the last step checks r row by
-    row; with two factors that check is the whole answer.
+    row, a sign coefficient against its row's cross terms; with two
+    factors that check is the whole answer.
 
     A sign target must first have the forced end coefficients, the
     products of the factors' ends.  The tropical search runs on
@@ -338,8 +321,11 @@ def _chain_member(r: Polynomial, fs) -> bool:
             return _product_members(cs, coeffs[idx])
 
         def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with r
-            rows = _product_rows(SIGN, cs, coeffs[last])
-            return all(x in row for x, row in zip(r.coeffs, rows))
+            terms = [[] for _ in r.coeffs]  # the cross terms of each row
+            for k, x in enumerate(cs):
+                for i, y in enumerate(coeffs[last], k):
+                    terms[i].append(x * y)
+            return all(map(SIGN.contains, r.coeffs, terms))
 
     seen = set()  # (step, intermediate) pairs already explored without success
 

@@ -178,7 +178,8 @@ def divide(p: Polynomial, a: TropValue) -> Polynomial:
 
 
 def is_quotient(p: Polynomial, a: TropValue, q: Polynomial) -> bool:
-    """Exact check of p in (T + a) * q via the coefficient relations."""
+    """Exact check of p in (T + a) * q: ``divides_linearly``, membership
+    in the two-factor product decided on scaled integer exponents."""
     return divides_linearly(p, a, q)
 
 

@@ -13,9 +13,11 @@ and the classification of irreducibles).  They are the recursive and
 split-search definitions, built on the library's ``is_root``,
 ``all_quotients_sign`` and ``product_coefficient_sets``; the tests check each of
 those against the raw enumerations here.  The tropical quotient search
-oracle likewise perturbs ``divide``'s answer and keeps what the
-library's relation check ``is_quotient`` accepts; the tests check that
-check against the definition separately.  The tropical chain reference
+oracle likewise perturbs ``divide``'s answer, and keeps what
+``reference_divides_linearly`` accepts: the coefficient relations of
+p in (T - a) * q checked one by one, where the library decides that
+membership by its chain search.  The tests require the same verdict
+from both.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
 coefficients through ``product_coefficient_sets`` and
 ``TropSubset.contains``, where the library runs it on integer-scaled
@@ -43,7 +45,7 @@ from itertools import product as iter_product
 
 from hyperpoly import (SIGN, TROPICAL, ConstantPolynomialError, InternalInvariantError,
                        NewtonPolygon, NotARootError, Polynomial, TropValue,
-                       all_quotients_sign, divide, is_quotient, is_root, poly_sort_key,
+                       all_quotients_sign, divide, is_root, poly_sort_key,
                        product_coefficient_sets)
 
 # the binary sign hyperaddition, written out
@@ -258,10 +260,31 @@ def trop_member_raw(target_exp, term_exps):
     return sum(1 for e in pool if key(e) == key(top)) >= 2
 
 
+def reference_divides_linearly(p, a, q) -> bool:
+    """Membership of p in (T - a) * q via the coefficient relations, over
+    either field: deg p = 1 + deg q, c_n = d_{n-1}, c_0 = (-a)d_0 and
+    c_i in (-a)d_i + d_{i-1} for the middle indices."""
+    f = p.field
+    n = p.degree
+    if q.field is not f or q.is_zero or p.is_zero or q.degree != n - 1:
+        return False
+    c, d = p.coeffs, (None,) + q.coeffs + (None,)
+    na = f.neg(a)
+
+    def relation(c_i, d_prev, d_i):
+        if d_prev is None:
+            return c_i == f.mul(na, d_i)
+        if d_i is None:
+            return c_i == d_prev
+        return f.contains(c_i, [f.mul(na, d_i), d_prev])
+
+    return all(relation(c[i], d[i], d[i + 1]) for i in range(n + 1))
+
+
 def brute_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
     """``search_quotients`` by perturbing up to ``max_changed`` coefficients
     of ``divide(p, a)`` in every combination and filtering each candidate
-    polynomial through ``is_quotient``."""
+    polynomial through ``reference_divides_linearly``."""
     top = divide(p, a)
     found = {top}
     coeffs = list(top.coeffs)
@@ -283,7 +306,7 @@ def brute_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
                 for i, v in zip(idxs, combo):
                     trial[i] = v
                 cand = Polynomial(TROPICAL, tuple(trial))
-                if cand.degree == top.degree and is_quotient(p, a, cand):
+                if cand.degree == top.degree and reference_divides_linearly(p, a, cand):
                     found.add(cand)
     return sorted(found, key=poly_sort_key)
 

@@ -152,6 +152,18 @@ def test_usage_errors_exit_2():
     assert run_cli("divide", "--field", "sign", "--poly", "T^2-1").returncode == 2
 
 
+def test_zero_denominator_is_named(capsys):
+    # a value, a term coefficient and an array element, each with its column
+    for argv, where in ((["divide", "--poly", "0:T+1", "--root", "1/0"], ""),
+                        (["roots", "--poly", "1/0:T+1"], " (column 0)"),
+                        (["roots", "--poly", "[1/0,0]"], " (column 1)")):
+        out = io.StringIO()
+        assert cli.run([argv[0], "--field", "tropical", *argv[1:]], out=out) == 2, argv
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err == f"error: bad tropical value '1/0': zero denominator{where}\n"
+
+
 def test_one_field_refusals(capsys):
     refused = {}
     for name, (_, _, arguments, one_field) in cli._COMMANDS.items():

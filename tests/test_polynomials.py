@@ -29,7 +29,8 @@ from hyperpoly import (
 )
 from hyperpoly.errors import DegreeBoundExceeded
 from oracles import (raw_sign_product_rows, raw_sign_product_members, raw_sign_roots,
-                     reference_linear_tropical_member, reference_tropical_chain_member)
+                     reference_divides_linearly, reference_linear_tropical_member,
+                     reference_tropical_chain_member)
 
 L = TropValue.log
 
@@ -267,6 +268,24 @@ def test_divides_linearly_matches_product_sets():
             if p.is_zero or p.degree != n:
                 continue
             assert divides_linearly(p, a, q) == (combo in members)
+
+
+def test_divides_linearly_matches_the_relation_reference_sign():
+    # every p of degree 1-5 with either leading sign, every q of degree n - 1
+    def polys(n):
+        return [Polynomial(SIGN, c + (lead,))
+                for c in iter_product((-1, 0, 1), repeat=n) for lead in (1, -1)]
+
+    members = 0
+    for n in range(1, 6):
+        ps, qs = polys(n), polys(n - 1)
+        for a in (-1, 0, 1):
+            for p in ps:
+                for q in qs:
+                    want = reference_divides_linearly(p, a, q)
+                    assert divides_linearly(p, a, q) == want, (str(p), a, str(q))
+                    members += want
+    assert members == 2694  # the members of every (T - a) * q, counted by the reference
 
 
 def test_linear_tropical_member_agrees_with_chain_search():

@@ -65,23 +65,29 @@ def test_in_product_path_counters():
 
 # a three-factor and a two-factor tropical membership decided by the chain
 # search, which runs on scaled integer exponents: no row sets, no
-# hypersums, no multiplied TropValues
+# hypersums, no multiplied TropValues; a division check is membership in
+# the two-factor product (T + a) * q, and takes the same path
 _COUNT_TROPICAL_CHAIN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_module)
-from hyperpoly import polynomials, trop_poly
+from hyperpoly import TropValue, polynomials, tropical, trop_poly
 tracer = tracer_module.Tracer().install()
+p, a = trop_poly([0, "3/2", 1, 0]), TropValue.log(1)
+q = tropical.divide(p, a)
 questions = [
-    (trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"]),
-     [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])]),
-    (trop_poly(["1/2", "1/2", "-1/3", 0]), [trop_poly(["1/2", 0, 0]), trop_poly([0, 0])]),
+    lambda: polynomials.in_product(
+        trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"]),
+        [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])]),
+    lambda: polynomials.in_product(trop_poly(["1/2", "1/2", "-1/3", 0]),
+                                   [trop_poly(["1/2", 0, 0]), trop_poly([0, 0])]),
+    lambda: tropical.is_quotient(p, a, q),
 ]
 out = []
-for target, factors in questions:
+for question in questions:
     before = tracer.snapshot()
-    member = polynomials.in_product(target, factors)
+    member = question()
     after = tracer.snapshot()
     out.append([member, {k: after[k] - before[k] for k in (
         "polynomials._chain_member.calls", "polynomials._product_rows.calls",
@@ -149,15 +155,17 @@ import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_module)
-from hyperpoly import enumerate_product, in_product, signs, sign_poly
+from hyperpoly import divides_linearly, enumerate_product, in_product, signs, sign_poly
 tracer = tracer_module.Tracer().install()
 t_plus, t_minus = sign_poly([1, 1]), sign_poly([-1, 1])
 factors = [t_plus, t_minus, t_plus]
 target = sign_poly([-1, -1, 1, 1])
 quintic = sign_poly([1, 0, -1, 1, 0, -1])
+cubic, quotient = sign_poly([1, 0, -1, 1]), sign_poly([1, -1, 1])
 steps = {"enumerate_product": lambda: len(enumerate_product(factors)),
          "in_product": lambda: in_product(target, factors),
-         "all_factorizations_sign": lambda: len(signs.all_factorizations_sign(quintic))}
+         "all_factorizations_sign": lambda: len(signs.all_factorizations_sign(quintic)),
+         "divides_linearly": lambda: divides_linearly(cubic, -1, quotient)}
 counts = {}
 for name, step in steps.items():
     before = tracer.snapshot()
@@ -178,10 +186,15 @@ def test_sign_product_counters():
         return {"polynomials.Polynomial.__post_init__.calls": polys,
                 "polynomials._product_rows.calls": rows}
 
-    # five answers; no operand wrapped; the monic target of a cold table search
+    # five answers; no operand wrapped; the monic target of a cold table search;
+    # the chain's last link checks the target's coefficients against their
+    # cross terms, so in_product builds the middle step's rows only, and a
+    # division check, the two-factor membership in (T - a) * q, none: its
+    # one Polynomial is the factor T - a
     assert json.loads(out) == {"enumerate_product": [5, counts(5, 4)],
-                               "in_product": [True, counts(0, 2)],
-                               "all_factorizations_sign": [3, counts(1, 885)]}
+                               "in_product": [True, counts(0, 1)],
+                               "all_factorizations_sign": [3, counts(1, 885)],
+                               "divides_linearly": [True, counts(1, 0)]}
 
 
 # the tracer wraps Polynomial.__post_init__ and TropValue.__lt__, so one

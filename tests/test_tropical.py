@@ -17,19 +17,21 @@ from hyperpoly import (
     TROPICAL,
     TropValue,
     divide,
+    divides_linearly,
     factor,
     in_product,
     is_quotient,
     is_root,
     newton_polygon,
+    product_coefficient_sets,
     roots_with_multiplicities,
     search_quotients,
     trop_poly,
 )
 
 from oracles import (brute_search_quotients, hull_slopes, reference_divide,
-                     reference_newton_polygon)
-from test_chain_search import HOSTILE
+                     reference_divides_linearly, reference_newton_polygon)
+from test_chain_search import HOSTILE, STEPS, _draw_member
 
 L = TropValue.log
 Z = TropValue.zero()
@@ -236,6 +238,66 @@ def test_divide_matches_reference(p, others):
             assert str(got.value) == str(e)
         else:
             assert divide(p, a) == expected, (str(p), str(a))
+
+
+def _linear(a):
+    return Polynomial(TROPICAL, (a, TROPICAL.one))
+
+
+@st.composite
+def division_question(draw):
+    """(p, a, q) for the check p in (T + a) * q, mostly members, built:
+    q is ``divide(p, a)`` with coefficients lowered where both of their
+    rows of (T + a) * q are intervals, or p is drawn from those rows for
+    any a and q (a constant q too), then perhaps has one coefficient
+    raised.  The rest are a zero q and a q of the wrong degree."""
+    mode = draw(st.sampled_from(("divided",) * 3 + ("rows",) * 3 + ("raised", "zero", "degree")))
+    if mode == "divided":
+        p = draw(st.one_of(root_built_poly(), free_poly()))
+        a = draw(st.sampled_from([locus.root for locus in roots_with_multiplicities(p)]))
+        q = divide(p, a)
+        rows = product_coefficient_sets(_linear(a), q)
+        inside = [i for i, d in enumerate(q.coeffs)
+                  if not d.is_zero and rows[i].interval and rows[i + 1].interval]
+        cs = list(q.coeffs)
+        for i in draw(st.sets(st.sampled_from(inside))) if inside else ():
+            cs[i] = Z if draw(st.booleans()) else L(cs[i].exponent - draw(STEPS))
+        return p, a, Polynomial(TROPICAL, tuple(cs))
+    a = draw(VALUES)
+    degree = draw(st.integers(0, 5))
+    q = Polynomial(TROPICAL, (*draw(st.lists(VALUES, min_size=degree, max_size=degree)),
+                              L(draw(EXPONENTS))))
+    p = Polynomial(TROPICAL, tuple(_draw_member(draw, row)
+                                   for row in product_coefficient_sets(_linear(a), q)))
+    if mode == "raised":
+        cs = list(p.coeffs)
+        i = draw(st.integers(0, len(cs) - 1))
+        step = draw(STEPS)
+        cs[i] = L(step if cs[i].is_zero else cs[i].exponent + step)
+        p = Polynomial(TROPICAL, tuple(cs))
+    elif mode == "zero":
+        q = Polynomial(TROPICAL, ())
+    elif mode == "degree":
+        q = Polynomial(TROPICAL, q.coeffs + (L(draw(EXPONENTS)),) * draw(st.sampled_from((1, 2)))
+                       if draw(st.booleans()) or q.degree == 0 else q.coeffs[1:])
+    return p, a, q
+
+
+def test_divides_linearly_matches_the_relation_reference():
+    verdicts = []
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(division_question())
+    def check(question):
+        p, a, q = question
+        want = reference_divides_linearly(p, a, q)
+        assert divides_linearly(p, a, q) == want, (str(p), str(a), str(q))
+        verdicts.append(want)
+
+    check()
+    # the strategy builds members, which random coefficients almost never are
+    assert sum(verdicts) > len(verdicts) / 2
 
 
 def _check_polygon_against_reference(p):
