@@ -24,19 +24,22 @@ target and the remaining factors.  That search runs on exponents scaled
 by the lcm of their denominators: the scaling turns every exponent into
 an int and keeps order and sums, so the search adds and compares plain
 ints and decides what it would on Fractions.  ``_scaled`` is the one
-encoder for this, shared with the Newton polygon and tropical division
-in ``tropical``, as ``_lower_hull`` is the one hull routine.  A target
-failing the all-tops check ``_linear_tropical_member`` is refused at
-once; no member fails it, it decides the end coefficients and linear
-factors, so tropical membership multiplies no ``TropValue`` and the
-search, which can miss members, runs only with a factor of degree two
-or more.
+encoder for this, shared with the Newton polygon, tropical division and
+the quotient search in ``tropical``, as ``_lower_hull`` is the one hull
+routine.  A target failing the all-tops check ``_linear_tropical_member``
+is refused at once; no member fails it, it decides the end coefficients
+and linear factors, so tropical membership multiplies no ``TropValue``
+and the search, which can miss members, runs only with a factor of
+degree two or more.
 
 A quotient q of p by T - a is a q with p in (T - a) * q, so
 ``divides_linearly`` checks a given q as membership in that two-factor
 product, through ``_chain_member``.  Listing the quotients reads the
 product as a chain of relations, relation i linking only d_{i-1} and
-d_i, which ``_linear_quotients`` walks for both fields.
+d_i, which ``_linear_quotients`` walks for both fields.  The walk knows
+no field: each caller hands it coefficient tuples in its own encoding,
+with its own zero and relation, the sign one on {-1, 0, 1} and the
+tropical one on ``_scaled`` exponents.
 """
 
 from __future__ import annotations
@@ -227,33 +230,34 @@ def divides_linearly(p: Polynomial, a, q: Polynomial) -> bool:
     return _chain_member(p, [Polynomial(f, (f.neg(a), f.one)), q])
 
 
-def _linear_quotients(p: Polynomial, a, options, budget: int = 0) -> list:
-    """The q with p in (T - a) * q whose d_i come from options[i], sorted.
+def _linear_quotients(c: tuple, zero, holds: Callable, options, budget: int = 0) -> list:
+    """The quotients of the coefficient tuple c by T - a whose d_i come
+    from options[i], as coefficient tuples d, unsorted.
 
     options[i] holds (value, cost) pairs; a quotient's costs add up to at
-    most ``budget``.  Relation i reads c_i in (-a)d_i + d_{i-1}, with the
-    field's zero for d_{-1} and d_n: c in x + 0 means c = x, so the end
+    most ``budget``.  ``holds(c_i, d_i, d_{i-1})`` is the caller's
+    relation c_i in (-a)d_i + d_{i-1}, on the caller's encoding, with
+    ``zero`` for d_{-1} and d_n: c in x + 0 means c = x, so the end
     relations are the equalities c_0 = (-a)d_0 and c_n = d_{n-1}.  The
     walk extends the prefixes d_0 .. d_{i-1} one position at a time,
     grouped by their last value: relation i depends only on d_{i-1} and
     d_i, so it is evaluated once per pair of values, and a failed one
     drops the whole group.
     """
-    f, c, n = p.field, p.coeffs, p.degree
-    na = f.neg(a)
-    groups = {f.zero: [((), budget)]}  # d_{i-1} -> [(d_0 .. d_{i-1}, budget left)]
+    n = len(c) - 1
+    groups = {zero: [((), budget)]}  # d_{i-1} -> [(d_0 .. d_{i-1}, budget left)]
     for i in range(n):
         grown = {}
         for prev, prefixes in groups.items():
             for v, cost in options[i]:
-                if f.contains(c[i], [f.mul(na, v), prev]):
+                if holds(c[i], v, prev):
                     for d, left in prefixes:
                         if cost <= left:
                             grown.setdefault(v, []).append((d + (v,), left - cost))
         groups = grown
     # relation n, with d_n = 0
-    return sorted((Polynomial(f, d) for prev, prefixes in groups.items()
-                   if f.contains(c[n], [f.zero, prev]) for d, _ in prefixes), key=poly_sort_key)
+    return [d for prev, prefixes in groups.items() if holds(c[n], zero, prev)
+            for d, _ in prefixes]
 
 
 # ---------------------------------------------------------------------------

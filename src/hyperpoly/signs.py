@@ -137,8 +137,14 @@ def all_quotients_sign(p: Polynomial, a: int,
     _check_bound(p.degree, max_degree)
     if a == 0:
         return [Polynomial(SIGN, p.coeffs[1:])] if p.coeffs[0] == 0 else []
+    na = -a
+
+    def holds(c, v, prev):  # c in (-a)v + prev
+        return SIGN.contains(c, [na * v, prev])
+
     # every sign value may stand at every position, none at a cost
-    return _linear_quotients(p, a, [((1, 0), (0, 0), (-1, 0))] * p.degree)
+    found = _linear_quotients(p.coeffs, 0, holds, [((1, 0), (0, 0), (-1, 0))] * p.degree)
+    return sorted((Polynomial(SIGN, d) for d in found), key=poly_sort_key)
 
 
 def is_irreducible_sign(p: Polynomial,

@@ -16,15 +16,18 @@ leading one, and those below climb from the constant one.  The
 result is the coefficientwise-maximal polynomial q with p in (T+a)*q;
 the quotient is unique exactly when all roots are simple.  Quotients
 near the maximal one are searched by the quotient walk shared with the
-sign field, offering each position its maximal value or a lowered one.
+sign field, offering each position its maximal value or a lowered one,
+with the tropical relation: c in x + y is c <= x when x = y, and c =
+max(x, y) otherwise.
 
-The hull and the division run on exponents scaled to ints by
-``polynomials._scaled``, the one encoder that the chain search uses as
-well, and the hull is its ``_lower_hull``.  The scaling keeps order and
-sums, so they decide on ints what they would on Fractions, and only
-answers are decoded: a hull vertex keeps p's own height, a slope is
-decoded once per hull segment, and a quotient coefficient copied from p
-is p's own value.
+The hull, the division and the quotient search run on exponents scaled
+to ints by ``polynomials._scaled``, the one encoder that the chain
+search uses as well, and the hull is its ``_lower_hull``.  The scaling
+keeps order and sums, so they decide on ints what they would on
+Fractions, and only answers are decoded: a hull vertex keeps p's own
+height, a slope is decoded once per hull segment, a quotient
+coefficient copied from p is p's own value, and each distinct exponent
+of the searched quotients is decoded once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from fractions import Fraction
 
 from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
-from .polynomials import Polynomial, _linear_quotients, _lower_hull, _scaled, divides_linearly
+from .polynomials import (Polynomial, _at_most, _linear_quotients, _lower_hull, _scaled,
+                          divides_linearly, poly_sort_key)
 
 __all__ = [
     "NewtonPolygon",
@@ -190,16 +194,30 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     exponent minus each delta, or to zero) and returns every such q with
     p in (T + a) * q, sorted; the maximal quotient is always among them.
     The shared quotient walk offers top_i at no cost and each lowered
-    value at a cost of one change.  For exploring the quotient set at
-    desk scale, not for characterizing it.
+    value at a cost of one change.  It runs on ``_scaled`` exponents, the
+    deltas among them, so the scale takes in their denominators too, and
+    each distinct exponent of the answers is decoded once.  For exploring
+    the quotient set at desk scale, not for characterizing it.
     """
+    scale, cs, e, top, *ds = _scaled(p, a, divide(p, a), *(TropValue(Fraction(d)) for d in deltas))
     options = []
-    for t in divide(p, a).coeffs:
+    for t in top:
         # top_i, then the other values position i may take, each once
-        lowered = [] if t.is_zero else [v for v in dict.fromkeys(
-            TropValue(t.exponent - Fraction(d)) for d in deltas) if v != t] + [TropValue.zero()]
+        lowered = [] if t is None else [v for v in dict.fromkeys(t - d for d in ds)
+                                        if v != t] + [None]
         options.append(((t, 0), *((v, 1) for v in lowered)))
-    return _linear_quotients(p, a, options, max(max_changed, 0))
+
+    def holds(c, v, prev):  # c in a*v + prev, a max-plus hypersum of two terms
+        x = None if v is None or e is None else v + e
+        if x == prev:
+            return _at_most(c, x)
+        return c == (x if prev is None or (x is not None and x > prev) else prev)
+
+    found = _linear_quotients(cs, None, holds, options, max(max_changed, 0))
+    decoded = {v: TropValue(None if v is None else Fraction(v, scale))
+               for v in {v for d in found for v in d}}
+    return sorted((Polynomial(TROPICAL, tuple(map(decoded.__getitem__, d))) for d in found),
+                  key=poly_sort_key)
 
 
 def render_newton_svg(p: Polynomial, polygon: NewtonPolygon | None = None) -> str:

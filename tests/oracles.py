@@ -17,7 +17,10 @@ oracle likewise perturbs ``divide``'s answer, and keeps what
 ``reference_divides_linearly`` accepts: the coefficient relations of
 p in (T - a) * q checked one by one, where the library decides that
 membership by its chain search.  The tests require the same verdict
-from both.  The tropical chain reference
+from both.  The tropical quotient search reference is the quotient walk
+on ``TropValue`` coefficients, relations tested with
+``TROPICAL.contains``, where the library walks integer-scaled exponents;
+the tests require the same list from both.  The tropical chain reference
 is the library's tropical chain search written on ``TropValue``
 coefficients through ``product_coefficient_sets`` and
 ``TropSubset.contains``, where the library runs it on integer-scaled
@@ -309,6 +312,43 @@ def brute_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
                 if cand.degree == top.degree and reference_divides_linearly(p, a, cand):
                     found.add(cand)
     return sorted(found, key=poly_sort_key)
+
+
+def reference_search_quotients(p, a, *, deltas=(1, 2), max_changed=2):
+    """``tropical.search_quotients`` walking ``TropValue`` coefficients:
+    the options are ``divide``'s coefficients and their lowered values,
+    and each relation multiplies by a and tests membership with
+    ``TROPICAL.contains``, where the library walks scaled integer
+    exponents with a relation of its own."""
+    options = []
+    for t in divide(p, a).coeffs:
+        # top_i, then the other values position i may take, each once
+        lowered = [] if t.is_zero else [v for v in dict.fromkeys(
+            TropValue(t.exponent - Fraction(d)) for d in deltas) if v != t] + [TropValue.zero()]
+        options.append(((t, 0), *((v, 1) for v in lowered)))
+    return _reference_linear_quotients(p, a, options, max(max_changed, 0))
+
+
+def _reference_linear_quotients(p, a, options, budget=0):
+    """The q with p in (T - a) * q whose d_i come from options[i], sorted,
+    walked over p's own field: relation i reads c_i in (-a)d_i + d_{i-1},
+    with the field's zero for d_{-1} and d_n, and the prefixes are
+    grouped by their last value."""
+    f, c, n = p.field, p.coeffs, p.degree
+    na = f.neg(a)
+    groups = {f.zero: [((), budget)]}  # d_{i-1} -> [(d_0 .. d_{i-1}, budget left)]
+    for i in range(n):
+        grown = {}
+        for prev, prefixes in groups.items():
+            for v, cost in options[i]:
+                if f.contains(c[i], [f.mul(na, v), prev]):
+                    for d, left in prefixes:
+                        if cost <= left:
+                            grown.setdefault(v, []).append((d + (v,), left - cost))
+        groups = grown
+    # relation n, with d_n = 0
+    return sorted((Polynomial(f, d) for prev, prefixes in groups.items()
+                   if f.contains(c[n], [f.zero, prev]) for d, _ in prefixes), key=poly_sort_key)
 
 
 def reference_tropical_chain_member(r, fs):

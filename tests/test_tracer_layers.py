@@ -274,3 +274,40 @@ def test_division_counters():
     assert json.loads(out) == {
         "tropical": ["0:T^2+-1:T+0", none], "sign": ["T^2+T+1", none],
         "factor": ["-1/6 0:T 0:T+1/12 0:T+1/12 0:T+1/2", polygon_once]}
+
+
+# the tropical quotient walk runs on scaled integer exponents, at a
+# nonzero root and at the zero root: no TropValue multiplied or compared,
+# and no hypersum
+_COUNT_QUOTIENT_SEARCH = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+from hyperpoly import TropValue, tropical, trop_poly
+tracer = tracer_module.Tracer().install()
+steps = {"nonzero": (trop_poly([1, 0, 1, 0]), TropValue.log(1)),
+         "zero": (trop_poly([None, 1, 0, 1, 0]), TropValue.zero())}
+counts = {}
+for name, (p, a) in steps.items():
+    before = tracer.snapshot()
+    answer = tropical.search_quotients(p, a)
+    after = tracer.snapshot()
+    counts[name] = [list(map(str, answer)), {k: after[k] - before[k] for k in (
+        "tropical.search_quotients.calls", "fields.TropValue.__mul__.calls",
+        "fields.TropValue.__lt__.calls", "fields.trop_hyperadd.calls")}]
+print(json.dumps(counts))
+"""
+
+
+def test_quotient_search_counters():
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_QUOTIENT_SEARCH, str(TRACER)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    none = {"tropical.search_quotients.calls": 1, "fields.TropValue.__mul__.calls": 0,
+            "fields.TropValue.__lt__.calls": 0, "fields.trop_hyperadd.calls": 0}
+    # the README's worked example at its root 1, with lowered middle
+    # coefficients, and its shift by T at the zero root
+    assert json.loads(out) == {
+        "nonzero": [["0:T^2+0", "0:T^2+-3:T+0", "0:T^2+-2:T+0", "0:T^2+-1:T+0"], none],
+        "zero": [["0:T^3+1:T^2+0:T+1"], none]}

@@ -30,7 +30,8 @@ from hyperpoly import (
 )
 
 from oracles import (brute_search_quotients, hull_slopes, reference_divide,
-                     reference_divides_linearly, reference_newton_polygon)
+                     reference_divides_linearly, reference_newton_polygon,
+                     reference_search_quotients)
 from test_chain_search import HOSTILE, STEPS, _draw_member
 
 L = TropValue.log
@@ -420,7 +421,7 @@ def test_search_quotients_matches_perturbation_oracle():
         seen["zero middle"] += any(c.is_zero for c in p.coeffs[1:])
         seen["zero root"] += loci[0].root.is_zero
         for locus in loci:
-            for deltas in ((1, 2), (Fraction(1, 2), 3), (0,)):
+            for deltas in ((1, 2), (Fraction(1, 2), 3), (0,), (-1, Fraction(1, 3))):
                 for max_changed in (-1, 0, 1, 2, 3, n + 1):
                     # the oracle builds sum_k C(n, k) (len(deltas) + 1)^k candidates
                     work = sum(comb(n, j) * (len(deltas) + 1) ** j
@@ -432,6 +433,56 @@ def test_search_quotients_matches_perturbation_oracle():
                         p, locus.root, deltas=deltas, max_changed=max_changed), (p, locus.root)
                     seen["several found"] += len(got) > 1
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_search_quotients_matches_the_reference():
+    """At workload sizes, where the perturbation oracle skips every case,
+    the walk on scaled ints returns the ``TropValue`` walk's list."""
+    seen = dict.fromkeys(("repeated root", "zero middle", "zero root", "several found"), 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(root_built_poly(), free_poly()))
+    def check(p):
+        loci = roots_with_multiplicities(p)
+        seen["repeated root"] += any(l.multiplicity > 1 for l in loci)
+        seen["zero middle"] += any(c.is_zero for c in p.coeffs[1:])
+        seen["zero root"] += loci[0].root.is_zero
+        for locus in loci:
+            got = search_quotients(p, locus.root)
+            assert got == reference_search_quotients(p, locus.root), (str(p), str(locus.root))
+            seen["several found"] += len(got) > 1
+
+    check()
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_search_quotients_with_hostile_denominators_match_the_reference():
+    # roots, lead and one delta have Mersenne denominators 2^p - 1, the
+    # delta's often one that p lacks, so the scale is an lcm of hundreds
+    # of digits; p is built around a triple root, so lowered quotients exist
+    several = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+
+        def exponent():
+            return rng.randint(-2, 2) + Fraction(rng.choice((-2, -1, 1, 2)), rng.choice(HOSTILE))
+
+        pool = [L(exponent()), L(exponent()), Z]
+        roots = sorted([rng.choice(pool)] * 3 + [rng.choice(pool)] * rng.randint(0, 1),
+                       key=TropValue.sort_key)
+        coeffs = [L(exponent())]
+        for root in reversed(roots):
+            coeffs.append(coeffs[-1] * root)
+        p = Polynomial(TROPICAL, tuple(reversed(coeffs)))
+        deltas = (1, Fraction(1, rng.choice(HOSTILE)))
+        for locus in roots_with_multiplicities(p):
+            for max_changed in (1, 2, p.degree):
+                got = search_quotients(p, locus.root, deltas=deltas, max_changed=max_changed)
+                assert got == reference_search_quotients(
+                    p, locus.root, deltas=deltas, max_changed=max_changed), seed
+                several += len(got) > 1
+    assert several >= 10
 
 
 def test_proof_inequalities():
