@@ -12,34 +12,39 @@ over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
 The product kernels read plain coefficient tuples; a ``Polynomial`` is
 built only at the API edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
-is not associative, so the nesting matters).  Membership for two or more
-factors is one depth-first search over the chain's intermediates, ending
-in the two-factor row check, which alone decides two factors.  The end
-coefficients of a member are forced, the products of the factors' ends.
-A sign search checks them on the ints first; a sign step tries every
-member of the two-factor product, so that search is exhaustive.  A
-tropical intermediate coefficient lies in a singleton or an interval
-[0, top]; a step tries the top first, then tie values derived from the
-target and the remaining factors.  That search runs on exponents scaled
-by the lcm of their denominators: the scaling turns every exponent into
-an int and keeps order and sums, so the search adds and compares plain
-ints and decides what it would on Fractions.  ``_scaled`` is the one
-encoder for this, shared with the Newton polygon, tropical division and
-the quotient search in ``tropical``, as ``_lower_hull`` is the one hull
-routine.  A target failing the all-tops check ``_linear_tropical_member``
-is refused at once; no member fails it, it decides the end coefficients
-and linear factors, so tropical membership multiplies no ``TropValue``
-and the search, which can miss members, runs only with a factor of
-degree two or more.
+is not associative, so the nesting matters).  Two factors are decided by
+the row check alone, each target coefficient against its row's cross
+terms, which is the definition of membership.  Three or more are one
+depth-first search over the chain's intermediates, ending in that row
+check.  The end coefficients of a member are forced, the products of
+the factors' ends; a sign search checks them on the ints first, and a
+sign step tries every member of the two-factor product, so that search
+is exhaustive.  A tropical intermediate coefficient lies in a singleton
+or an interval [0, top]; a step tries the top first, then tie values
+derived from the target and the remaining factors.  That search runs on
+exponents scaled by the lcm of their denominators: the scaling turns
+every exponent into an int and keeps order and sums, so the search adds
+and compares plain ints and decides what it would on Fractions.
+``_scaled`` is the one encoder for this, shared with the Newton polygon,
+tropical division and the quotient search in ``tropical``, as
+``_lower_hull`` is the one hull routine.  Before a tropical search, a
+target failing the all-tops check ``_linear_tropical_member`` is refused
+at once; no member fails it, and it decides the end coefficients and
+linear factors.  The search's first descent, each interval's top, meets
+the intermediates of that all-tops chain and reuses their rows.  So
+tropical membership multiplies no ``TropValue``, and the search, which
+can miss members, runs only with three or more factors, one of degree
+two or more.
 
 A quotient q of p by T - a is a q with p in (T - a) * q, so
 ``divides_linearly`` checks a given q as membership in that two-factor
-product, through ``_chain_member``.  Listing the quotients reads the
-product as a chain of relations, relation i linking only d_{i-1} and
-d_i, which ``_linear_quotients`` walks for both fields.  The walk knows
-no field: each caller hands it coefficient tuples in its own encoding,
-with its own zero and relation, the sign one on {-1, 0, 1} and the
-tropical one on ``_scaled`` exponents.
+product, which ``_chain_member`` decides by its row check alone.
+Listing the quotients reads the product as a chain of relations,
+relation i linking only d_{i-1} and d_i, which ``_linear_quotients``
+walks for both fields.  The walk knows no field: each caller hands it
+coefficient tuples in its own encoding, with its own zero and relation,
+the sign one on {-1, 0, 1} and the tropical one on ``_scaled``
+exponents.
 """
 
 from __future__ import annotations
@@ -288,19 +293,31 @@ def _chain_member(r: Polynomial, fs) -> bool:
     """Depth-first search over the intermediate coefficient tuples: a sign
     step tries the members of the two-factor product, a tropical step the
     candidates of ``_tropical_options``, and the last step checks r row by
-    row, a sign coefficient against its row's cross terms; with two
-    factors that check is the whole answer.
+    row, a sign coefficient against its row's cross terms.
 
-    A sign target must first have the forced end coefficients, the
-    products of the factors' ends.  The tropical search runs on
-    ``_scaled`` exponents, plain ints, after ``_linear_tropical_member``,
-    which decides the ends and alone decides linear factors."""
+    Two factors: the row check alone, which is the definition of
+    membership.  Three or more: a sign target must first have the forced
+    end coefficients, the products of the factors' ends; a tropical one
+    must pass ``_linear_tropical_member``, which decides the ends and
+    alone decides linear factors, before the search, whose first descent
+    reuses the rows of that all-tops pass.  The tropical search runs on
+    ``_scaled`` exponents, plain ints."""
     last = len(fs) - 1
     if r.field is TROPICAL:
         _, target, *coeffs = _scaled(r, *fs)
+        rows = {}  # (idx, intermediate) -> its rows with coeffs[idx], from the all-tops pass
+
+        def is_last_link(cs):
+            return len(cs) + len(coeffs[last]) == len(target) + 1 and all(
+                _at_most(c, top) if tied else c == top for c, (top, tied) in
+                zip(target, rows.get((last, cs)) or _scaled_rows(cs, coeffs[last])))
+
+        if last == 1:
+            return is_last_link(coeffs[0])
         tops = coeffs[0]
-        for d in coeffs[1:]:
-            tops = tuple(top for top, _ in _scaled_rows(tops, d))
+        for idx in range(1, last + 1):
+            level = rows[idx, tops] = tuple(_scaled_rows(tops, coeffs[idx]))
+            tops = tuple(top for top, _ in level)
         if not _linear_tropical_member(target, tops):
             return False
         if all(len(d) == 2 for d in coeffs):
@@ -308,21 +325,10 @@ def _chain_member(r: Polynomial, fs) -> bool:
         anchor_pool = _tropical_anchor_pool(target, coeffs)
 
         def children(cs, idx):
-            rows = list(_scaled_rows(cs, coeffs[idx]))
-            return iter_product(*_tropical_options(rows, anchor_pool[idx], coeffs[idx + 1]))
-
-        def is_last_link(cs):
-            return len(cs) + len(coeffs[last]) == len(target) + 1 and all(
-                _at_most(c, top) if tied else c == top
-                for c, (top, tied) in zip(target, _scaled_rows(cs, coeffs[last])))
+            level = rows.get((idx, cs)) or tuple(_scaled_rows(cs, coeffs[idx]))
+            return iter_product(*_tropical_options(level, anchor_pool[idx], coeffs[idx + 1]))
     else:
         coeffs = [q.coeffs for q in fs]
-        if (r.coeffs[0] != math.prod(c[0] for c in coeffs)
-                or r.coeffs[-1] != math.prod(c[-1] for c in coeffs)):
-            return False
-
-        def children(cs, idx):
-            return _product_members(cs, coeffs[idx])
 
         def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with r
             terms = [[] for _ in r.coeffs]  # the cross terms of each row
@@ -330,6 +336,15 @@ def _chain_member(r: Polynomial, fs) -> bool:
                 for i, y in enumerate(coeffs[last], k):
                     terms[i].append(x * y)
             return all(map(SIGN.contains, r.coeffs, terms))
+
+        if last == 1:
+            return is_last_link(coeffs[0])
+        if (r.coeffs[0] != math.prod(c[0] for c in coeffs)
+                or r.coeffs[-1] != math.prod(c[-1] for c in coeffs)):
+            return False
+
+        def children(cs, idx):
+            return _product_members(cs, coeffs[idx])
 
     seen = set()  # (step, intermediate) pairs already explored without success
 
@@ -358,12 +373,11 @@ def _scaled(*values) -> tuple:
     an int v it computes decodes to the exponent Fraction(v, L).
     """
     groups = [(v,) if isinstance(v, TropValue) else v.coeffs for v in values]
-    exps = [[c.exponent for c in g] for g in groups]
-    dens = {e.denominator for es in exps for e in es if e is not None}
-    scale = math.lcm(*dens)
-    factors = {d: scale // d for d in dens}
-    encoded = [tuple(None if e is None else e.numerator * factors[e.denominator] for e in es)
-               for es in exps]
+    ratios = [[None if c.exponent is None else c.exponent.as_integer_ratio() for c in g]
+              for g in groups]
+    scale = math.lcm(*{r[1] for rs in ratios for r in rs if r is not None})
+    encoded = [tuple([None if r is None else r[0] * (scale // r[1]) for r in rs])
+               for rs in ratios]
     return (scale, *(e[0] if isinstance(v, TropValue) else e
                      for v, e in zip(values, encoded)))
 

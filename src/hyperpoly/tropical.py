@@ -24,10 +24,14 @@ The hull, the division and the quotient search run on exponents scaled
 to ints by ``polynomials._scaled``, the one encoder that the chain
 search uses as well, and the hull is its ``_lower_hull``.  The scaling
 keeps order and sums, so they decide on ints what they would on
-Fractions, and only answers are decoded: a hull vertex keeps p's own
-height, a slope is decoded once per hull segment, a quotient
-coefficient copied from p is p's own value, and each distinct exponent
-of the searched quotients is decoded once.
+Fractions, and only answers are decoded.  One int core,
+``_maximal_quotient``, finds the maximal quotient at a nonzero root for
+both ``divide`` and ``search_quotients``: each encodes its inputs once
+and calls it, ``divide`` decodes its answer and the search walks its
+ints as they are.  At the zero root both shift, ``divide`` on p's own
+coefficients.  A hull vertex keeps p's own height, a slope is decoded once per
+hull segment, a quotient coefficient copied from p is p's own value,
+and each distinct exponent of the searched quotients is decoded once.
 """
 
 from __future__ import annotations
@@ -138,70 +142,91 @@ def factor(p: Polynomial):
 def divide(p: Polynomial, a: TropValue) -> Polynomial:
     """The maximal q with p in (T + a) * q; raises NotARootError otherwise.
 
-    A zero root shifts the coefficients down by one.  A nonzero a is a
-    root when the maximum of the terms c_i * a^i is attained twice; let j
-    be the first index attaining it, the left end of a's hull segment.
-    The recursion runs in two ranges that meet at j:
+    A zero root shifts p's own coefficients.  A nonzero one is divided by
+    ``_maximal_quotient`` on the ``_scaled`` exponents; a coefficient d_i
+    equal to c_{i+1}, as is every one copied from p, is decoded as p's
+    own value."""
+    _require_positive_degree(p)
+    c = p.coeffs
+    if a.is_zero:
+        return Polynomial(TROPICAL, _shift(c, c[0].is_zero))
+    scale, cs, e = _scaled(p, a)
+    return Polynomial(TROPICAL, tuple(
+        x if v == y else TROPICAL.zero if v is None else TropValue(Fraction(v, scale))
+        for v, y, x in zip(_maximal_quotient(cs, e, a), cs[1:], c[1:])))
+
+
+def _shift(cs: tuple, constant_is_zero: bool) -> tuple:
+    """The quotient by T at the zero root, in any encoding: cs without its
+    constant, which must be zero."""
+    if not constant_is_zero:
+        raise NotARootError("zero is not a root (the constant coefficient is nonzero)")
+    return cs[1:]
+
+
+def _maximal_quotient(cs: tuple, e: int, a: TropValue) -> list:
+    """The maximal quotient of the scaled coefficients cs by T + a, for a
+    nonzero a with scaled exponent e, as scaled ints; raises
+    NotARootError when a is not a root.
+
+    a is a root when the maximum of the terms c_i * a^i is attained
+    twice; let j be the first index attaining it, the left end of a's
+    hull segment.  The recursion runs in two ranges that meet at j:
 
     * i = n-1 down to j:  d_i = max(c_{i+1}, a * d_{i+1}), after d_{n-1} = c_n
     * i = 0 up to j-1:    d_i = max(c_i, d_{i-1}) / a, after d_0 = c_0 / a
     """
-    _require_positive_degree(p)
-    n = p.degree
-    c = p.coeffs
-
-    if a.is_zero:
-        if not c[0].is_zero:
-            raise NotARootError("zero is not a root (the constant coefficient is nonzero)")
-        return Polynomial(TROPICAL, c[1:])
-
-    scale, cs, e = _scaled(p, a)
     terms = [None if x is None else x + i * e for i, x in enumerate(cs)]
     top = max(t for t in terms if t is not None)
     if terms.count(top) < 2:
         raise NotARootError(f"{str(a)[:20]} is not a root of the polynomial")
     j = terms.index(top)
 
-    d = [TROPICAL.zero] * n
-    d[n - 1], above = c[n], cs[n]
+    n = len(cs) - 1
+    d = [None] * n
+    d[n - 1] = above = cs[n]
     for i in range(n - 2, j - 1, -1):
         # on a's own segment c_{i+1} <= a * d_{i+1}, so this is the suffix product
         above += e
         if cs[i + 1] is not None and cs[i + 1] >= above:
-            d[i], above = c[i + 1], cs[i + 1]
-        else:
-            d[i] = TropValue(Fraction(above, scale))
+            above = cs[i + 1]
+        d[i] = above
     below = None
     for i in range(j):
         if cs[i] is not None and (below is None or cs[i] > below):
             below = cs[i]
         if below is not None:
             below -= e
-            d[i] = TropValue(Fraction(below, scale))
-    return Polynomial(TROPICAL, tuple(d))
+            d[i] = below
+    return d
 
 
 def is_quotient(p: Polynomial, a: TropValue, q: Polynomial) -> bool:
     """Exact check of p in (T + a) * q: ``divides_linearly``, membership
-    in the two-factor product decided on scaled integer exponents."""
+    in the two-factor product decided by its row check on scaled integer
+    exponents."""
     return divides_linearly(p, a, q)
 
 
 def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed: int = 2) -> list:
     """Bounded search for valid quotients near the maximal one.
 
-    Lowers up to ``max_changed`` coefficients of ``divide(p, a)`` (to the
-    exponent minus each delta, or to zero) and returns every such q with
-    p in (T + a) * q, sorted; the maximal quotient is always among them.
-    The shared quotient walk offers top_i at no cost and each lowered
-    value at a cost of one change.  It runs on ``_scaled`` exponents, the
-    deltas among them, so the scale takes in their denominators too, and
-    each distinct exponent of the answers is decoded once.  For exploring
-    the quotient set at desk scale, not for characterizing it.
+    Lowers up to ``max_changed`` coefficients of the maximal quotient
+    ``divide(p, a)`` (to the exponent minus each delta, or to zero) and
+    returns every such q with p in (T + a) * q, sorted; the maximal
+    quotient is always among them.  It refuses what ``divide`` refuses,
+    with the same errors.  The shared quotient walk offers top_i at no
+    cost and each lowered value at a cost of one change.  One
+    ``_scaled`` call encodes p, a and the deltas, so the scale takes in
+    the deltas' denominators too; the maximal quotient comes as ints
+    from ``divide``'s core, and each distinct exponent of the answers is
+    decoded once.  For exploring the quotient set at desk scale, not for
+    characterizing it.
     """
-    scale, cs, e, top, *ds = _scaled(p, a, divide(p, a), *(TropValue(Fraction(d)) for d in deltas))
+    _require_positive_degree(p)
+    scale, cs, e, *ds = _scaled(p, a, *(TropValue(Fraction(d)) for d in deltas))
     options = []
-    for t in top:
+    for t in _shift(cs, cs[0] is None) if e is None else _maximal_quotient(cs, e, a):
         # top_i, then the other values position i may take, each once
         lowered = [] if t is None else [v for v in dict.fromkeys(t - d for d in ds)
                                         if v != t] + [None]

@@ -1,6 +1,7 @@
 """Polynomial container, product coefficient sets, membership, roots."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -19,8 +20,10 @@ from hyperpoly import (
     divides_linearly,
     enumerate_product,
     in_product,
+    is_quotient,
     is_root,
     monic_normal,
+    newton_polygon,
     poly_sort_key,
     product_coefficient_sets,
     pushforward,
@@ -286,6 +289,94 @@ def test_divides_linearly_matches_the_relation_reference_sign():
                     assert divides_linearly(p, a, q) == want, (str(p), a, str(q))
                     members += want
     assert members == 2694  # the members of every (T - a) * q, counted by the reference
+
+
+def _two_factor_question(rng, field):
+    """(r, p, q, kind): p is T - a (a zero root one time in three) or a
+    factor of degree 1-3, q has degree 0-4, both with zero coefficients,
+    and r is drawn from the rows of p * q, perhaps with one middle
+    coefficient moved, or is the all-tops chain with one coefficient
+    raised or lowered at a hull vertex (tropical), or a drawn member with
+    a wrong end coefficient (sign)."""
+    if field is SIGN:
+        def value(nonzero=False):
+            return rng.choice((-1, 1) if nonzero else (-1, 0, 0, 1))
+    else:
+        def value(nonzero=False):
+            if not nonzero and rng.random() < 0.25:
+                return TROPICAL.zero
+            return L(Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+
+    def poly(degree):
+        return Polynomial(field, tuple(value() for _ in range(degree)) + (value(True),))
+
+    if rng.random() < 0.5:
+        a = field.zero if rng.random() < 1 / 3 else value(True)
+        p = Polynomial(field, (field.neg(a), field.one))
+    else:
+        p = poly(rng.randint(1, 3))
+    q = poly(rng.randint(0, 4))
+    rows = product_coefficient_sets(p, q)
+    kind = rng.choice(("member", "moved") + (("wrong end",) * 2 if field is SIGN
+                                             else ("above", "vertex")))
+    if field is SIGN:
+        cs = [rng.choice(sorted(row)) for row in rows]
+        if kind == "moved" and len(cs) > 2:
+            cs[rng.randrange(1, len(cs) - 1)] = value()
+        elif kind == "wrong end":
+            i = rng.choice((0, -1))
+            cs[i] = rng.choice([v for v in ((-1, 1) if i else (-1, 0, 1)) if v != cs[i]])
+        return Polynomial(SIGN, tuple(cs)), p, q, kind
+    tops = [row.top for row in rows]
+    if kind in ("member", "moved"):
+        cs = [row.top if not row.interval or row.top.is_zero
+              else rng.choice((row.top, TROPICAL.zero,
+                               TropValue(row.top.exponent - rng.randint(1, 3))))
+              for row in rows]
+        if kind == "moved" and len(cs) > 2:
+            cs[rng.randrange(1, len(cs) - 1)] = value()
+    elif kind == "above":
+        cs, i = list(tops), rng.randrange(len(tops))
+        cs[i] = L(1) if cs[i].is_zero else TropValue(cs[i].exponent + Fraction(1, 2))
+    else:
+        cs = list(tops)
+        i = rng.choice([i for i, h in newton_polygon(Polynomial(TROPICAL, tuple(tops))).vertices
+                        if h is not None])
+        lowered = TropValue(cs[i].exponent - 1)  # zeroing the lead would drop the degree
+        cs[i] = lowered if i == len(cs) - 1 else rng.choice((TROPICAL.zero, lowered))
+    return Polynomial(TROPICAL, tuple(cs)), p, q, kind
+
+
+def test_two_factor_membership_is_the_row_check():
+    # two factors are decided by the row check alone: in_product, and the
+    # division checks when p is T - a, agree with the rows of
+    # product_coefficient_sets and with the relation reference, on drawn
+    # members and on the targets that the all-tops hull check (above the
+    # chain, or below it at a vertex) and the sign end check refused first
+    rng = random.Random(21)
+    seen = Counter()
+    for field in (SIGN, TROPICAL):
+        for _ in range(1500):
+            r, p, q, kind = _two_factor_question(rng, field)
+            rows = product_coefficient_sets(p, q)
+            want = len(rows) == len(r.coeffs) and all(
+                c in row if field is SIGN else row.contains(c) for row, c in zip(rows, r.coeffs))
+            assert in_product(r, [p, q]) == want, (str(r), str(p), str(q))
+            if kind not in ("member", "moved"):
+                assert not want, (str(r), str(p), str(q))
+            if p.degree == 1 and p.lead == field.one:
+                a = field.neg(p.coeffs[0])
+                assert divides_linearly(r, a, q) == want == reference_divides_linearly(r, a, q)
+                if field is TROPICAL:
+                    assert is_quotient(r, a, q) == want
+                seen[field.name, "zero root" if field.is_zero(a) else "root", want] += 1
+            seen[field.name, kind, want] += 1
+    for name, refused in (("sign", ("wrong end",)), ("tropical", ("above", "vertex"))):
+        assert seen[name, "member", True] > 100
+        assert seen[name, "moved", True] > 20 and seen[name, "moved", False] > 20
+        assert all(seen[name, kind, False] > 100 for kind in refused)
+        assert all(seen[name, root, want] > 20 for root in ("root", "zero root")
+                   for want in (True, False))
 
 
 def test_linear_tropical_member_agrees_with_chain_search():

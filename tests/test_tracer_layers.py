@@ -66,7 +66,9 @@ def test_in_product_path_counters():
 # a three-factor and a two-factor tropical membership decided by the chain
 # search, which runs on scaled integer exponents: no row sets, no
 # hypersums, no multiplied TropValues; a division check is membership in
-# the two-factor product (T + a) * q, and takes the same path
+# the two-factor product (T + a) * q, and takes the same path.  Only the
+# three-factor chain runs the all-tops hull check: the row check alone
+# decides two factors
 _COUNT_TROPICAL_CHAIN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -90,8 +92,9 @@ for question in questions:
     member = question()
     after = tracer.snapshot()
     out.append([member, {k: after[k] - before[k] for k in (
-        "polynomials._chain_member.calls", "polynomials._product_rows.calls",
-        "fields.trop_hyperadd.calls", "fields.TropValue.__mul__.calls")}])
+        "polynomials._chain_member.calls", "polynomials._linear_tropical_member.calls",
+        "polynomials._product_rows.calls", "fields.trop_hyperadd.calls",
+        "fields.TropValue.__mul__.calls")}])
 print(json.dumps(out))
 """
 
@@ -100,9 +103,11 @@ def test_tropical_chain_counters():
     env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _COUNT_TROPICAL_CHAIN, str(TRACER)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    for member, counts in json.loads(out):
+    hull_checks = [1, 0, 0]  # three factors, two factors, a division check
+    for (member, counts), hull_check in zip(json.loads(out), hull_checks, strict=True):
         assert member is True
         assert counts == {"polynomials._chain_member.calls": 1,
+                          "polynomials._linear_tropical_member.calls": hull_check,
                           "polynomials._product_rows.calls": 0,
                           "fields.trop_hyperadd.calls": 0,
                           "fields.TropValue.__mul__.calls": 0}
@@ -278,7 +283,8 @@ def test_division_counters():
 
 # the tropical quotient walk runs on scaled integer exponents, at a
 # nonzero root and at the zero root: no TropValue multiplied or compared,
-# and no hypersum
+# no hypersum, and the maximal quotient comes from divide's int core
+# without a call to divide
 _COUNT_QUOTIENT_SEARCH = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -294,8 +300,9 @@ for name, (p, a) in steps.items():
     answer = tropical.search_quotients(p, a)
     after = tracer.snapshot()
     counts[name] = [list(map(str, answer)), {k: after[k] - before[k] for k in (
-        "tropical.search_quotients.calls", "fields.TropValue.__mul__.calls",
-        "fields.TropValue.__lt__.calls", "fields.trop_hyperadd.calls")}]
+        "tropical.search_quotients.calls", "tropical.divide.calls",
+        "fields.TropValue.__mul__.calls", "fields.TropValue.__lt__.calls",
+        "fields.trop_hyperadd.calls")}]
 print(json.dumps(counts))
 """
 
@@ -304,8 +311,9 @@ def test_quotient_search_counters():
     env = dict(os.environ, PYTHONPATH=str(Path(hyperpoly.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _COUNT_QUOTIENT_SEARCH, str(TRACER)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    none = {"tropical.search_quotients.calls": 1, "fields.TropValue.__mul__.calls": 0,
-            "fields.TropValue.__lt__.calls": 0, "fields.trop_hyperadd.calls": 0}
+    none = {"tropical.search_quotients.calls": 1, "tropical.divide.calls": 0,
+            "fields.TropValue.__mul__.calls": 0, "fields.TropValue.__lt__.calls": 0,
+            "fields.trop_hyperadd.calls": 0}
     # the README's worked example at its root 1, with lowered middle
     # coefficients, and its shift by T at the zero root
     assert json.loads(out) == {

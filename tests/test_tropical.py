@@ -159,6 +159,23 @@ def test_divide_not_a_root():
         divide(trop_poly([1, 0]), Z)
 
 
+@pytest.mark.parametrize("p, a, error, message", [
+    (trop_poly([1, 0, 1, 0]), L(7), NotARootError, "7 is not a root of the polynomial"),
+    # the message cuts the root's text to 20 characters
+    (trop_poly([1, 0, 1, 0]), L(Fraction(-123456789, 1000000007)), NotARootError,
+     "-123456789/100000000 is not a root of the polynomial"),
+    (trop_poly([1, 0]), Z, NotARootError,
+     "zero is not a root (the constant coefficient is nonzero)"),
+    (trop_poly([3]), L(1), ConstantPolynomialError, "a polynomial of degree >= 1 is required"),
+    (trop_poly([]), Z, ConstantPolynomialError, "a polynomial of degree >= 1 is required"),
+], ids=["non-root", "long-root", "zero-root", "constant", "zero-polynomial"])
+def test_search_quotients_refuses_as_divide_does(p, a, error, message):
+    for operation in (divide, search_quotients):
+        with pytest.raises(error) as got:
+            operation(p, a)
+        assert type(got.value) is error and str(got.value) == message, operation.__name__
+
+
 def test_is_quotient_probe_grid():
     p = trop_poly([1, 0, 1, 0])
     a = L(1)
