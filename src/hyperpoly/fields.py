@@ -137,15 +137,6 @@ class TropValue(_Record):
     def __truediv__(self, other: "TropValue") -> "TropValue":
         return self * other.inv()
 
-    def __pow__(self, k: int) -> "TropValue":
-        if self.exponent is None:
-            if k == 0:
-                return TropValue(Fraction(0))
-            if k < 0:
-                raise ZeroDivisionError("negative power of the tropical zero")
-            return TropValue(None)
-        return TropValue(self.exponent * k)
-
     def __neg__(self) -> "TropValue":
         return self
 
@@ -321,10 +312,6 @@ class TropicalField:
         return a.inv()
 
     @staticmethod
-    def pow(a: TropValue, k: int) -> TropValue:
-        return a ** k
-
-    @staticmethod
     def hyperadd(values) -> TropSubset:
         return trop_hyperadd(values)
 
@@ -430,17 +417,6 @@ class SignField:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return a
-
-    @staticmethod
-    def pow(a: int, k: int) -> int:
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("negative power of 0")
-            return 0
-        # a in {1, -1}: only the parity of k matters
-        return a if k % 2 else 1
 
     @staticmethod
     def hyperadd(values) -> frozenset:

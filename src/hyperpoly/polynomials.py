@@ -36,6 +36,10 @@ tropical membership multiplies no ``TropValue``, and the search, which
 can miss members, runs only with three or more factors, one of degree
 two or more.
 
+Each field has one root test, on its own encoding, shared by ``is_root``
+and both divisions: ``_tropical_root`` on ``_scaled`` exponents, which
+also gives a division's split, and ``_sign_root`` on the ints.
+
 A quotient q of p by T - a is a q with p in (T - a) * q, so
 ``divides_linearly`` checks a given q as membership in that two-factor
 product, which ``_chain_member`` decides by its row check alone.
@@ -191,8 +195,23 @@ def product_coefficient_sets(p: Polynomial, q: Polynomial) -> tuple:
 def is_root(p: Polynomial, a) -> bool:
     """True iff 0 lies in the hypersum of the terms c_i * a^i."""
     _require_nonzero(p)
-    f = p.field
-    return f.contains(f.zero, [f.mul(c, f.pow(a, i)) for i, c in enumerate(p.coeffs)])
+    if p.field is TROPICAL:
+        _, cs, e = _scaled(p, a)
+        return _tropical_root(cs, e) is not None
+    _check_sign_value(a)
+    return _sign_root(p.coeffs, a) is not None
+
+
+def _check_sign_value(a):
+    if a not in (-1, 0, 1):
+        raise ValueError(f"sign values are -1, 0 or 1, got {a!r}")
+
+
+def _sign_root(cs: tuple, a: int):
+    """The terms c_i * a^i of the sign coefficients cs if 0 lies in their
+    hypersum (both signs occur, or neither does), else None (no root)."""
+    terms = [c * a ** i for i, c in enumerate(cs)]
+    return terms if SIGN.contains(0, terms) else None
 
 
 def associated(p: Polynomial, q: Polynomial) -> bool:
@@ -380,6 +399,18 @@ def _scaled(*values) -> tuple:
                for rs in ratios]
     return (scale, *(e[0] if isinstance(v, TropValue) else e
                      for v, e in zip(values, encoded)))
+
+
+def _tropical_root(cs: tuple, e):
+    """Where a, with scaled exponent e (None for the zero), splits the
+    division of the scaled coefficients cs: the first index at which the
+    terms c_i * a^i reach their maximum if they reach it twice, else None
+    (no root).  At the zero root that is 0 exactly when c_0 is the zero."""
+    if e is None:
+        return None if cs[0] is not None else 0
+    terms = [None if x is None else x + i * e for i, x in enumerate(cs)]
+    top = max(t for t in terms if t is not None)
+    return terms.index(top) if terms.count(top) > 1 else None
 
 
 def _linear_tropical_member(target: tuple, tops: tuple) -> bool:

@@ -4,14 +4,16 @@ sign polynomials.
 Everything here is exact computation over {-1, 0, 1}.  Three operations
 are closed forms from the source paper and run in O(n):
 
-* division by a linear term reads the terms c_i * a^i once: both signs
-  occur among them exactly at a root, and the first term opposite to
-  the lowest nonzero one splits a two-range recursion;
+* division by a linear term reads the terms c_i * a^i once, from the
+  root test ``polynomials._sign_root`` that ``is_root`` calls too: both
+  signs occur among them exactly at a nonzero root, and the first term
+  opposite to the lowest nonzero one splits a two-range recursion;
 * root multiplicity is Descartes' rule of signs: the multiplicity of 1
   is the number of sign changes in the nonzero coefficients, that of -1
   the same count for p(-T), and that of 0 the lowest nonzero index;
 * the monic irreducibles are exactly T, T-1, T+1 and T^2+1, so p is
-  irreducible iff it has degree 1, or degree 2 and no root.
+  irreducible iff it has degree 1 or its coefficients are (u, 0, u) for
+  a unit u, which needs no root test.
 
 Two operations are exhaustive enumerations.  The quotient set of a
 division by T - 1 or T + 1 is the set of paths through the division
@@ -49,9 +51,10 @@ from .polynomials import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
     _check_bound,
+    _check_sign_value,
     _linear_quotients,
     _product_members,
-    is_root,
+    _sign_root,
     poly_sort_key,
     sign_poly,
 )
@@ -77,18 +80,13 @@ MONIC_IRREDUCIBLES = (
 )
 
 
-def _check_sign_value(a):
-    if a not in (-1, 0, 1):
-        raise ValueError(f"sign values are -1, 0 or 1, got {a!r}")
-
-
 def divide_sign(p: Polynomial, a: int) -> Polynomial:
     """A quotient q with p in (T - a) * q, for a root a of p.
 
-    For a = 0 the quotient is the coefficient shift.  For a = +/-1 the
-    terms c_i * a^i decide the root (both signs occur among them) and
-    split the recursion: let l be the lowest nonzero term and j the first
-    term of the opposite sign.  Then
+    The root test ``_sign_root`` reads the terms c_i * a^i.  For a = 0
+    the quotient is the coefficient shift.  For a = +/-1 the terms split
+    the recursion: let l be the lowest nonzero term and j the first term
+    of the opposite sign.  Then
 
     * d_i = c_{i+1} if c_{i+1} != 0, else a * d_{i+1}, for i = n-1 down to j
     * d_l = -a * c_l and d_i = a * d_{i-1}, for l < i < j
@@ -100,14 +98,12 @@ def divide_sign(p: Polynomial, a: int) -> Polynomial:
     n = p.degree
     c = p.coeffs
 
+    terms = _sign_root(c, a)
+    if terms is None:
+        raise NotARootError("0 is not a root (the constant coefficient is nonzero)" if a == 0
+                            else f"{a} is not a root of the polynomial")
     if a == 0:
-        if c[0] != 0:
-            raise NotARootError("0 is not a root (the constant coefficient is nonzero)")
         return Polynomial(SIGN, c[1:])
-
-    terms = [ci * a ** i for i, ci in enumerate(c)]
-    if not SIGN.contains(0, terms):
-        raise NotARootError(f"{a} is not a root of the polynomial")
     l = next(i for i, t in enumerate(terms) if t)
     j = terms.index(-terms[l], l)
 
@@ -149,15 +145,12 @@ def all_quotients_sign(p: Polynomial, a: int,
 
 def is_irreducible_sign(p: Polynomial,
                         max_degree: int = DEFAULT_DEGREE_BOUND) -> bool:
-    """True iff p is a unit multiple of T, T-1, T+1 or T^2+1.
-
-    By the classification of sign irreducibles this means degree 1, or
-    degree 2 with no root in {-1, 0, 1}.
-    """
+    """True iff p is a unit multiple of T, T-1, T+1 or T^2+1, read off
+    the classification: p has degree 1, or its coefficients are (u, 0, u)."""
     if p.is_zero or p.degree < 1:
         raise ConstantPolynomialError("irreducibility needs degree >= 1")
     _check_bound(p.degree, max_degree)
-    return p.degree == 1 or (p.degree == 2 and not any(is_root(p, a) for a in (-1, 0, 1)))
+    return p.degree == 1 or p.coeffs == (p.lead, 0, p.lead)
 
 
 def classify_irreducibles(max_degree: int) -> list:

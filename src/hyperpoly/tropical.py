@@ -9,10 +9,11 @@ contributes one zero root.  Zero coefficients elsewhere impose no
 constraint on the hull and are simply omitted from its input.
 
 Division by a linear term T + a reads everything it needs off the
-terms c_i * a^i: a is a root when their maximum is attained twice, and
-the first index attaining it, the left end of a's hull segment, splits
-a two-range recursion.  The coefficients from there up descend from the
-leading one, and those below climb from the constant one.  The
+terms c_i * a^i, through the root test ``_tropical_root`` that
+``is_root`` shares: a is a root when their maximum is attained twice,
+and the first index attaining it, the left end of a's hull segment,
+splits a two-range recursion.  The coefficients from there up descend
+from the leading one, and those below climb from the constant one.  The
 result is the coefficientwise-maximal polynomial q with p in (T+a)*q;
 the quotient is unique exactly when all roots are simple.  Quotients
 near the maximal one are searched by the quotient walk shared with the
@@ -25,13 +26,13 @@ to ints by ``polynomials._scaled``, the one encoder that the chain
 search uses as well, and the hull is its ``_lower_hull``.  The scaling
 keeps order and sums, so they decide on ints what they would on
 Fractions, and only answers are decoded.  One int core,
-``_maximal_quotient``, finds the maximal quotient at a nonzero root for
-both ``divide`` and ``search_quotients``: each encodes its inputs once
-and calls it, ``divide`` decodes its answer and the search walks its
-ints as they are.  At the zero root both shift, ``divide`` on p's own
-coefficients.  A hull vertex keeps p's own height, a slope is decoded once per
-hull segment, a quotient coefficient copied from p is p's own value,
-and each distinct exponent of the searched quotients is decoded once.
+``_maximal_quotient``, finds the maximal quotient for both ``divide``
+and ``search_quotients``, at the zero root too, where it is the shift:
+each encodes its inputs once and calls it, ``divide`` decodes its
+answer and the search walks its ints as they are.  A hull vertex keeps
+p's own height, a slope is decoded once per hull segment, a quotient
+coefficient copied from p is p's own value, and each distinct exponent
+of the searched quotients is decoded once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
 from .polynomials import (Polynomial, _at_most, _linear_quotients, _lower_hull, _scaled,
-                          divides_linearly, poly_sort_key)
+                          _tropical_root, divides_linearly, poly_sort_key)
 
 __all__ = [
     "NewtonPolygon",
@@ -142,45 +143,36 @@ def factor(p: Polynomial):
 def divide(p: Polynomial, a: TropValue) -> Polynomial:
     """The maximal q with p in (T + a) * q; raises NotARootError otherwise.
 
-    A zero root shifts p's own coefficients.  A nonzero one is divided by
-    ``_maximal_quotient`` on the ``_scaled`` exponents; a coefficient d_i
-    equal to c_{i+1}, as is every one copied from p, is decoded as p's
-    own value."""
+    ``_maximal_quotient`` divides on the ``_scaled`` exponents; a
+    coefficient d_i equal to c_{i+1}, as is every one copied from p, is
+    decoded as p's own value."""
     _require_positive_degree(p)
-    c = p.coeffs
-    if a.is_zero:
-        return Polynomial(TROPICAL, _shift(c, c[0].is_zero))
     scale, cs, e = _scaled(p, a)
     return Polynomial(TROPICAL, tuple(
         x if v == y else TROPICAL.zero if v is None else TropValue(Fraction(v, scale))
-        for v, y, x in zip(_maximal_quotient(cs, e, a), cs[1:], c[1:])))
+        for v, y, x in zip(_maximal_quotient(cs, e, a), cs[1:], p.coeffs[1:])))
 
 
-def _shift(cs: tuple, constant_is_zero: bool) -> tuple:
-    """The quotient by T at the zero root, in any encoding: cs without its
-    constant, which must be zero."""
-    if not constant_is_zero:
-        raise NotARootError("zero is not a root (the constant coefficient is nonzero)")
-    return cs[1:]
+def _maximal_quotient(cs: tuple, e, a: TropValue) -> list:
+    """The maximal quotient of the scaled coefficients cs by T + a, with
+    e the scaled exponent of a (None for the zero), as scaled ints;
+    raises NotARootError when a is not a root.
 
-
-def _maximal_quotient(cs: tuple, e: int, a: TropValue) -> list:
-    """The maximal quotient of the scaled coefficients cs by T + a, for a
-    nonzero a with scaled exponent e, as scaled ints; raises
-    NotARootError when a is not a root.
-
-    a is a root when the maximum of the terms c_i * a^i is attained
-    twice; let j be the first index attaining it, the left end of a's
-    hull segment.  The recursion runs in two ranges that meet at j:
+    ``_tropical_root`` decides the root and gives j, the first index at
+    which the terms c_i * a^i reach their maximum, the left end of a's
+    hull segment.  At the zero root the quotient is the shift, cs
+    without its constant.  Otherwise the recursion runs in two ranges
+    that meet at j:
 
     * i = n-1 down to j:  d_i = max(c_{i+1}, a * d_{i+1}), after d_{n-1} = c_n
     * i = 0 up to j-1:    d_i = max(c_i, d_{i-1}) / a, after d_0 = c_0 / a
     """
-    terms = [None if x is None else x + i * e for i, x in enumerate(cs)]
-    top = max(t for t in terms if t is not None)
-    if terms.count(top) < 2:
-        raise NotARootError(f"{str(a)[:20]} is not a root of the polynomial")
-    j = terms.index(top)
+    j = _tropical_root(cs, e)
+    if j is None:
+        raise NotARootError("zero is not a root (the constant coefficient is nonzero)"
+                            if e is None else f"{str(a)[:20]} is not a root of the polynomial")
+    if e is None:
+        return list(cs[1:])
 
     n = len(cs) - 1
     d = [None] * n
@@ -226,7 +218,7 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     _require_positive_degree(p)
     scale, cs, e, *ds = _scaled(p, a, *(TropValue(Fraction(d)) for d in deltas))
     options = []
-    for t in _shift(cs, cs[0] is None) if e is None else _maximal_quotient(cs, e, a):
+    for t in _maximal_quotient(cs, e, a):
         # top_i, then the other values position i may take, each once
         lowered = [] if t is None else [v for v in dict.fromkeys(t - d for d in ds)
                                         if v != t] + [None]

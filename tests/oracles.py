@@ -34,11 +34,11 @@ library builds it on integer-scaled exponents; the tests require the
 same vertices, slopes and zero multiplicity from both.  The two division
 references reach the same quotients another way: tropical division by
 the sorted root list expanded from that reference polygon, and sign
-division by a root test followed by a second scan for the first sign
-flip.  The sign reference calls the library's ``is_root``, which
-``divide_sign`` itself no longer uses: both divisions read the root test
-and the split off one list of terms.  The tests require the same
-quotient or the same error from both.
+division by the root test of ``raw_sign_roots`` (the hypersum folded
+over the literal table) followed by a second scan for the first sign
+flip, where the library reads the root test and the split off one list
+of terms.  The tests require the same quotient or the same error from
+both.
 """
 
 from fractions import Fraction
@@ -540,10 +540,11 @@ def reference_divide(p, a):
 
 
 def reference_divide_sign(p, a):
-    """``signs.divide_sign`` by a root test and a second scan for the first
-    sign flip: with l the lowest nonzero coefficient index and k the first
-    index whose successor coefficient flips sign against c_l (relative to
-    powers of a), descending from i = n-1:
+    """``signs.divide_sign`` by the root test of ``raw_sign_roots`` and a
+    second scan for the first sign flip: with l the lowest nonzero
+    coefficient index and k the first index whose successor coefficient
+    flips sign against c_l (relative to powers of a), descending from
+    i = n-1:
 
     * d_i = c_{i+1}          if c_{i+1} != 0 and i > k
     * d_i = a * d_{i+1}      if c_{i+1} == 0 and i > k
@@ -562,13 +563,13 @@ def reference_divide_sign(p, a):
             raise NotARootError("0 is not a root (the constant coefficient is nonzero)")
         return Polynomial(SIGN, c[1:])
 
-    if not is_root(p, a):
+    if a not in raw_sign_roots(c):
         raise NotARootError(f"{a} is not a root of the polynomial")
 
     l = next(i for i, v in enumerate(c) if v != 0)
     k = None
     for i in range(n):
-        if c[i + 1] == -SIGN.pow(a, i + 1 - l) * c[l]:
+        if c[i + 1] == -a ** (i + 1 - l) * c[l]:
             k = i
             break
     if k is None:
@@ -579,6 +580,6 @@ def reference_divide_sign(p, a):
         if i > k:
             d[i] = c[i + 1] if c[i + 1] != 0 else a * d[i + 1]
         elif i >= l:
-            d[i] = -SIGN.pow(a, i + 1 - l) * c[l]
+            d[i] = -a ** (i + 1 - l) * c[l]
         # below l the coefficients stay 0
     return Polynomial(SIGN, tuple(d))

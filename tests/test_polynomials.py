@@ -168,6 +168,10 @@ def test_is_root():
     assert is_root(sign_poly([1, 1, 1, 1]), -1)
     assert not is_root(sign_poly([1, 0, 1]), 1)
     assert is_root(trop_poly([None, 3, 0]), TropValue.zero())
+    # a value outside the sign field is refused, as divide_sign refuses it
+    for p, a in ((sign_poly([-1, 0, 1]), 2), (sign_poly([1, 0, -1]), 5)):
+        with pytest.raises(ValueError, match=f"^sign values are -1, 0 or 1, got {a}$"):
+            is_root(p, a)
     # oracle sweep at small degree
     for c in iter_product((-1, 0, 1), repeat=4):
         p = Polynomial(SIGN, c)

@@ -58,7 +58,8 @@ def test_divide_sign_worked_examples():
 
 def test_divide_sign_matches_reference_exhaustive():
     # every sign polynomial of degree 1-8 and every sign value: the same
-    # quotient, or a NotARootError with the same message
+    # quotient, or a NotARootError with the same message, exactly where
+    # is_root, which shares divide_sign's root test, says no root
     for n in range(1, 9):
         for p in _all_polys(n):
             for a in (-1, 0, 1):
@@ -68,8 +69,10 @@ def test_divide_sign_matches_reference_exhaustive():
                     with pytest.raises(NotARootError) as got:
                         divide_sign(p, a)
                     assert str(got.value) == str(e)
+                    assert not is_root(p, a), (p.coeffs, a)
                 else:
                     assert divide_sign(p, a) == expected, (p.coeffs, a)
+                    assert is_root(p, a), (p.coeffs, a)
 
 
 def test_divide_sign_membership():

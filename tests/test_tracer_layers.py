@@ -239,18 +239,21 @@ def test_value_op_counters():
 
 # both divisions decide the root and find their split from one list of
 # terms: no Newton polygon, no root list, no separate root test; the
-# tropical division and the factorization run on scaled integer exponents,
-# so neither multiplies or compares a TropValue
+# tropical division, the factorization and the tropical root test, at a
+# nonzero root and at the zero root, run on scaled integer exponents, so
+# none of them multiplies or compares a TropValue
 _COUNT_DIVISIONS = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_module)
-from hyperpoly import TropValue, signs, sign_poly, tropical, trop_poly
+from hyperpoly import TropValue, polynomials, signs, sign_poly, tropical, trop_poly
 tracer = tracer_module.Tracer().install()
 steps = {"tropical": lambda: tropical.divide(trop_poly([1, 0, 1, 0]), TropValue.log(1)),
          "sign": lambda: signs.divide_sign(sign_poly([1, 1, 1, 1]), -1),
-         "factor": lambda: tropical.factor(trop_poly([None, "1/2", 0, "1/3", "-1/6"]))}
+         "factor": lambda: tropical.factor(trop_poly([None, "1/2", 0, "1/3", "-1/6"])),
+         "root": lambda: polynomials.is_root(trop_poly([1, 0, 1, 0]), TropValue.log(1)),
+         "zero root": lambda: polynomials.is_root(trop_poly([None, 1, 0]), TropValue.zero())}
 counts = {}
 for name, step in steps.items():
     before = tracer.snapshot()
@@ -276,9 +279,11 @@ def test_division_counters():
     # factor reads the one polygon that its root loci read
     polygon_once = dict(none, **{"tropical.newton_polygon.calls": 1,
                                  "tropical.roots_with_multiplicities.calls": 1})
+    root_test = dict(none, **{"polynomials.is_root.calls": 1})
     assert json.loads(out) == {
         "tropical": ["0:T^2+-1:T+0", none], "sign": ["T^2+T+1", none],
-        "factor": ["-1/6 0:T 0:T+1/12 0:T+1/12 0:T+1/2", polygon_once]}
+        "factor": ["-1/6 0:T 0:T+1/12 0:T+1/12 0:T+1/2", polygon_once],
+        "root": ["True", root_test], "zero root": ["True", root_test]}
 
 
 # the tropical quotient walk runs on scaled integer exponents, at a

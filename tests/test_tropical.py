@@ -31,7 +31,7 @@ from hyperpoly import (
 
 from oracles import (brute_search_quotients, hull_slopes, reference_divide,
                      reference_divides_linearly, reference_newton_polygon,
-                     reference_search_quotients)
+                     reference_search_quotients, trop_member_raw)
 from test_chain_search import HOSTILE, STEPS, _draw_member
 
 L = TropValue.log
@@ -590,6 +590,43 @@ def test_root_set_matches_polygon_slopes():
         candidates.add(Z)
         for cand in candidates:
             assert is_root(p, cand) == (cand in roots)
+
+
+def test_is_root_and_divide_follow_the_hypersum_definition():
+    # polynomials of degree 1-6 with zero coefficients, leading ones among
+    # them, a third over the HOSTILE denominators; candidates: the zero,
+    # every Newton-polygon slope (a root), and each slope moved by 1/7
+    # either way when that is no slope (no root).  The definition: 0 lies
+    # in the hypersum of the terms c_i * a^i, on Fractions, where at the
+    # zero root every term but c_0 is the zero.  divide shares is_root's
+    # root test, so it refuses exactly the non-roots.
+    rng = random.Random(41)
+    zero_roots = 0
+    for k in range(240):
+        den = rng.choice(HOSTILE) if k % 3 == 0 else rng.randint(1, 6)
+
+        def exponent():
+            return rng.randint(-2, 2) + Fraction(rng.randint(-12, 12), den)
+
+        coeffs = [Z if rng.random() < 0.25 else L(exponent()) for _ in range(rng.randint(1, 6))]
+        p = Polynomial(TROPICAL, (*coeffs, L(exponent())))
+        slopes = set(newton_polygon(p).slopes)
+        near = {s + d for s in slopes for d in (Fraction(1, 7), Fraction(-1, 7))} - slopes
+        for a, root in [(Z, p.coeffs[0].is_zero), *((L(s), True) for s in slopes),
+                        *((L(v), False) for v in near)]:
+            terms = [None if c.is_zero or (a.is_zero and i) else
+                     c.exponent + (0 if a.is_zero else i * a.exponent)
+                     for i, c in enumerate(p.coeffs)]
+            assert trop_member_raw(None, terms) == root, (str(p), str(a))
+            assert is_root(p, a) == root, (str(p), str(a))
+            try:
+                divide(p, a)
+            except NotARootError:
+                assert not root, (str(p), str(a))
+            else:
+                assert root, (str(p), str(a))
+            zero_roots += a.is_zero and root
+    assert zero_roots > 20
 
 
 def test_linear_product_members_have_the_root():
