@@ -12,13 +12,16 @@ The oracles multiply random polynomials exactly over the source ring,
 push both the factors and the product through a morphism, and check
 that the image of the product lies in the hyperproduct of the images.
 Laurent polynomials are plain ``{exponent: Fraction}`` dicts; rational
-polynomials are Fraction lists.
+polynomials are Fraction lists.  Each source ring is one (zero, one,
+add, mul) tuple, and one polynomial product and one random-polynomial
+generator serve both rings.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial, reduce
 
 from .fields import SIGN, TROPICAL, TROP_ZERO, TropValue
 from .parsing import format_polynomial
@@ -93,20 +96,27 @@ def valuation_image(coeffs) -> Polynomial:
     return pushforward(t_adic_valuation, coeffs, TROPICAL)
 
 
-def rational_poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
+def _poly_mul(ring, f, g) -> list:
+    """The product of coefficient lists f and g over ``ring``, a source
+    ring given as (zero, one, add, mul)."""
+    zero, _, add, mul = ring
+    out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] += a * b
+            out[i + j] = add(out[i + j], mul(a, b))
     return out
+
+
+_RATIONALS = (Fraction(0), Fraction(1), operator.add, operator.mul)
+_LAURENT = ({}, {0: Fraction(1)}, laurent_add, laurent_mul)
+
+
+def rational_poly_mul(f, g):
+    return _poly_mul(_RATIONALS, f, g)
 
 
 def laurent_poly_mul(f, g):
-    out = [{} for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = laurent_add(out[i + j], laurent_mul(a, b))
-    return out
+    return _poly_mul(_LAURENT, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +139,16 @@ def _random_laurent(rng, nonzero=False):
             return f
 
 
-def _random_rational_poly(rng):
+def _random_poly(rng, rand_elem) -> list:
+    """A polynomial of degree 1-4 with a nonzero lead, from ``rand_elem``."""
     deg = rng.randint(1, 4)
-    return [_random_rational(rng) for _ in range(deg)] + [_random_rational(rng, nonzero=True)]
+    return [rand_elem(rng) for _ in range(deg)] + [rand_elem(rng, nonzero=True)]
 
 
-def _random_laurent_poly(rng):
-    deg = rng.randint(1, 4)
-    return [_random_laurent(rng) for _ in range(deg)] + [_random_laurent(rng, nonzero=True)]
-
-
-# name -> (map, target field, random element, random polynomial, polynomial
-# product, element text, (zero, one, add, mul) of the source ring)
+# name -> (map, target field, random element, element text, source ring)
 _MORPHISMS = {
-    "sign": (sign_map, SIGN, _random_rational, _random_rational_poly,
-             rational_poly_mul, str, (Fraction(0), Fraction(1), operator.add, operator.mul)),
-    "valuation": (t_adic_valuation, TROPICAL, _random_laurent, _random_laurent_poly,
-                  laurent_poly_mul, laurent_str, ({}, {0: Fraction(1)}, laurent_add, laurent_mul)),
+    "sign": (sign_map, SIGN, _random_rational, str, _RATIONALS),
+    "valuation": (t_adic_valuation, TROPICAL, _random_laurent, laurent_str, _LAURENT),
 }
 
 
@@ -158,7 +161,7 @@ def check_morphism_laws(morphism: str = "sign", trials: int = 200, seed: int = 0
     """
     import random  # loaded on first use: start-up stays small
 
-    fmap, field, rand_elem, _, _, fmt, (zero, one, add, mul) = _MORPHISMS[morphism]
+    fmap, field, rand_elem, fmt, (zero, one, add, mul) = _MORPHISMS[morphism]
     rng = random.Random(seed)
 
     failures = []
@@ -171,10 +174,7 @@ def check_morphism_laws(morphism: str = "sign", trials: int = 200, seed: int = 0
         if fmap(mul(a, b)) != field.mul(fmap(a), fmap(b)):
             failures.append(f"f(ab) != f(a)f(b) at a={fmt(a)}, b={fmt(b)}")
         terms = [rand_elem(rng) for _ in range(rng.randint(2, 4))]
-        total = terms[0]
-        for t in terms[1:]:
-            total = add(total, t)
-        if not field.contains(fmap(total), [fmap(t) for t in terms]):
+        if not field.contains(fmap(reduce(add, terms)), [fmap(t) for t in terms]):
             failures.append("f(sum) not in hypersum of images at "
                             + ", ".join(fmt(t) for t in terms))
     return {"morphism": morphism, "trials": trials, "seed": seed,
@@ -193,14 +193,12 @@ def check_pushforward_lemma(trials: int = 500, seed: int = 0,
     """
     import random  # loaded on first use: start-up stays small
 
-    fmap, field, _, rand_poly, poly_mul, fmt, _ = _MORPHISMS[morphism]
+    fmap, field, rand_elem, fmt, ring = _MORPHISMS[morphism]
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
-        factors = [rand_poly(rng) for _ in range(rng.randint(2, 4))]
-        product = factors[0]
-        for f in factors[1:]:
-            product = poly_mul(product, f)
+        factors = [_random_poly(rng, rand_elem) for _ in range(rng.randint(2, 4))]
+        product = reduce(partial(_poly_mul, ring), factors)
         image_factors = [pushforward(fmap, f, field) for f in factors]
         image_product = pushforward(fmap, product, field)
         if not in_product(image_product, image_factors):
@@ -229,9 +227,7 @@ def nonuniqueness_witness() -> dict:
     ]
     results = []
     for factors in factorizations:
-        product = factors[0]
-        for f in factors[1:]:
-            product = rational_poly_mul(product, f)
+        product = reduce(rational_poly_mul, factors)
         image_factors = [sign_image(f) for f in factors]
         image_product = sign_image(product)
         results.append({

@@ -9,8 +9,9 @@ every construction runs it exactly once.
 
 The product of two polynomials is a *set*: its i-th coefficient ranges
 over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
-The product kernels read plain coefficient tuples; a ``Polynomial`` is
-built only at the API edge, for a caller's inputs and answers.
+The product kernels, the membership search and the division checks
+read plain coefficient tuples; a ``Polynomial`` is built only at the API
+edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
 is not associative, so the nesting matters).  Two factors are decided by
 the row check alone, each target coefficient against its row's cross
@@ -25,16 +26,16 @@ derived from the target and the remaining factors.  That search runs on
 exponents scaled by the lcm of their denominators: the scaling turns
 every exponent into an int and keeps order and sums, so the search adds
 and compares plain ints and decides what it would on Fractions.
-``_scaled`` is the one encoder for this, shared with the Newton polygon,
-tropical division and the quotient search in ``tropical``, as
-``_lower_hull`` is the one hull routine.  Before a tropical search, a
-target failing the all-tops check ``_linear_tropical_member`` is refused
-at once; no member fails it, and it decides the end coefficients and
-linear factors.  The search's first descent, each interval's top, meets
-the intermediates of that all-tops chain and reuses their rows.  So
-tropical membership multiplies no ``TropValue``, and the search, which
-can miss members, runs only with three or more factors, one of degree
-two or more.
+``_scaled``, which encodes tuples of ``TropValue``s, is the one encoder
+for this, shared with the Newton polygon, tropical division and the
+quotient search in ``tropical``, as ``_lower_hull`` is the one hull
+routine.  Before a tropical search, a target failing the all-tops check
+``_linear_tropical_member`` is refused at once; no member fails it, and
+it decides the end coefficients and linear factors.  The search's first
+descent, each interval's top, meets the intermediates of that all-tops
+chain and reuses their rows.  So tropical membership multiplies no
+``TropValue``, and the search, which can miss members, runs only with
+three or more factors, one of degree two or more.
 
 Each field has one root test, on its own encoding, shared by ``is_root``
 and both divisions: ``_tropical_root`` on ``_scaled`` exponents, which
@@ -42,7 +43,9 @@ also gives a division's split, and ``_sign_root`` on the ints.
 
 A quotient q of p by T - a is a q with p in (T - a) * q, so
 ``divides_linearly`` checks a given q as membership in that two-factor
-product, which ``_chain_member`` decides by its row check alone.
+product, which ``_chain_member`` decides by its row check alone, on the
+tuples (-a, 1) and q's coefficients.  Every division entry point refuses
+a root outside its field with a ``ValueError``.
 Listing the quotients reads the product as a chain of relations,
 relation i linking only d_{i-1} and d_i, which ``_linear_quotients``
 walks for both fields.  The walk knows no field: each caller hands it
@@ -196,7 +199,8 @@ def is_root(p: Polynomial, a) -> bool:
     """True iff 0 lies in the hypersum of the terms c_i * a^i."""
     _require_nonzero(p)
     if p.field is TROPICAL:
-        _, cs, e = _scaled(p, a)
+        _check_trop_value(a)
+        _, cs, (e,) = _scaled(p.coeffs, (a,))
         return _tropical_root(cs, e) is not None
     _check_sign_value(a)
     return _sign_root(p.coeffs, a) is not None
@@ -205,6 +209,11 @@ def is_root(p: Polynomial, a) -> bool:
 def _check_sign_value(a):
     if a not in (-1, 0, 1):
         raise ValueError(f"sign values are -1, 0 or 1, got {a!r}")
+
+
+def _check_trop_value(a):
+    if not isinstance(a, TropValue):
+        raise ValueError(f"tropical values are TropValue instances, got {a!r:.20}")
 
 
 def _sign_root(cs: tuple, a: int):
@@ -245,13 +254,15 @@ def pushforward(f: Callable, source, target_field) -> Polynomial:
 
 
 def divides_linearly(p: Polynomial, a, q: Polynomial) -> bool:
-    """Membership of p in (T - a) * q, decided by ``_chain_member``.
+    """Membership of p in (T - a) * q, decided by ``_chain_member`` on the
+    coefficient tuples (-a, 1) and q's.
 
     Over the tropical field -a = a, so the linear factor reads T + a."""
     f = p.field
+    (_check_trop_value if f is TROPICAL else _check_sign_value)(a)
     if q.field is not f or q.is_zero or p.is_zero or q.degree != p.degree - 1:
         return False
-    return _chain_member(p, [Polynomial(f, (f.neg(a), f.one)), q])
+    return _chain_member(f, p.coeffs, [(f.neg(a), f.one), q.coeffs])
 
 
 def _linear_quotients(c: tuple, zero, holds: Callable, options, budget: int = 0) -> list:
@@ -305,14 +316,16 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
         return r == fs[0]
     if r.degree != sum(q.degree for q in fs):
         return False
-    return _chain_member(r, fs)
+    return _chain_member(f, r.coeffs, [q.coeffs for q in fs])
 
 
-def _chain_member(r: Polynomial, fs) -> bool:
+def _chain_member(field, target: tuple, coeffs) -> bool:
     """Depth-first search over the intermediate coefficient tuples: a sign
     step tries the members of the two-factor product, a tropical step the
-    candidates of ``_tropical_options``, and the last step checks r row by
-    row, a sign coefficient against its row's cross terms.
+    candidates of ``_tropical_options``, and the last step checks the
+    target row by row, a sign coefficient against its row's cross terms.
+    The target and the factors ``coeffs`` are nonzero coefficient tuples
+    over ``field``, of matching degrees.
 
     Two factors: the row check alone, which is the definition of
     membership.  Three or more: a sign target must first have the forced
@@ -321,9 +334,9 @@ def _chain_member(r: Polynomial, fs) -> bool:
     alone decides linear factors, before the search, whose first descent
     reuses the rows of that all-tops pass.  The tropical search runs on
     ``_scaled`` exponents, plain ints."""
-    last = len(fs) - 1
-    if r.field is TROPICAL:
-        _, target, *coeffs = _scaled(r, *fs)
+    last = len(coeffs) - 1
+    if field is TROPICAL:
+        _, target, *coeffs = _scaled(target, *coeffs)
         rows = {}  # (idx, intermediate) -> its rows with coeffs[idx], from the all-tops pass
 
         def is_last_link(cs):
@@ -347,19 +360,17 @@ def _chain_member(r: Polynomial, fs) -> bool:
             level = rows.get((idx, cs)) or tuple(_scaled_rows(cs, coeffs[idx]))
             return iter_product(*_tropical_options(level, anchor_pool[idx], coeffs[idx + 1]))
     else:
-        coeffs = [q.coeffs for q in fs]
-
-        def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with r
-            terms = [[] for _ in r.coeffs]  # the cross terms of each row
+        def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with the target
+            terms = [[] for _ in target]  # the cross terms of each row
             for k, x in enumerate(cs):
                 for i, y in enumerate(coeffs[last], k):
                     terms[i].append(x * y)
-            return all(map(SIGN.contains, r.coeffs, terms))
+            return all(map(SIGN.contains, target, terms))
 
         if last == 1:
             return is_last_link(coeffs[0])
-        if (r.coeffs[0] != math.prod(c[0] for c in coeffs)
-                or r.coeffs[-1] != math.prod(c[-1] for c in coeffs)):
+        if (target[0] != math.prod(c[0] for c in coeffs)
+                or target[-1] != math.prod(c[-1] for c in coeffs)):
             return False
 
         def children(cs, idx):
@@ -381,9 +392,10 @@ def _chain_member(r: Polynomial, fs) -> bool:
     return step(coeffs[0], 1)
 
 
-def _scaled(*values) -> tuple:
-    """The scale L, then each value's exponents as ints: a tropical
-    polynomial as a tuple, a loose ``TropValue`` as one entry.
+def _scaled(*groups) -> tuple:
+    """The scale L, then each group, a tuple of ``TropValue``s such as a
+    polynomial's coefficients or a 1-tuple holding a root, as a tuple of
+    ints.
 
     An exponent e becomes e * L, with L the lcm of the denominators of
     all exponents, and the zero becomes None.  The map preserves order
@@ -391,14 +403,11 @@ def _scaled(*values) -> tuple:
     decides on these ints exactly what it would on the Fractions, and
     an int v it computes decodes to the exponent Fraction(v, L).
     """
-    groups = [(v,) if isinstance(v, TropValue) else v.coeffs for v in values]
     ratios = [[None if c.exponent is None else c.exponent.as_integer_ratio() for c in g]
               for g in groups]
     scale = math.lcm(*{r[1] for rs in ratios for r in rs if r is not None})
-    encoded = [tuple([None if r is None else r[0] * (scale // r[1]) for r in rs])
-               for rs in ratios]
-    return (scale, *(e[0] if isinstance(v, TropValue) else e
-                     for v, e in zip(values, encoded)))
+    return (scale, *(tuple([None if r is None else r[0] * (scale // r[1]) for r in rs])
+                     for rs in ratios))
 
 
 def _tropical_root(cs: tuple, e):

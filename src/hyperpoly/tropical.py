@@ -41,8 +41,9 @@ from fractions import Fraction
 
 from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
-from .polynomials import (Polynomial, _at_most, _linear_quotients, _lower_hull, _scaled,
-                          _tropical_root, divides_linearly, poly_sort_key)
+from .polynomials import (Polynomial, _at_most, _check_trop_value, _linear_quotients,
+                          _lower_hull, _scaled, _tropical_root, divides_linearly,
+                          poly_sort_key)
 
 __all__ = [
     "NewtonPolygon",
@@ -105,7 +106,7 @@ def newton_polygon(p: Polynomial) -> NewtonPolygon:
     The hull is built on the ``_scaled`` exponents; each vertex keeps
     p's own height, and each segment's slope is decoded once."""
     _require_positive_degree(p)
-    scale, cs = _scaled(p)
+    scale, cs = _scaled(p.coeffs)
     points = [(i, -e) for i, e in enumerate(cs) if e is not None]
     zero_mult = points[0][0]  # leading zero coefficients c_0..c_{l-1}
     hull = _lower_hull(points)
@@ -146,8 +147,9 @@ def divide(p: Polynomial, a: TropValue) -> Polynomial:
     ``_maximal_quotient`` divides on the ``_scaled`` exponents; a
     coefficient d_i equal to c_{i+1}, as is every one copied from p, is
     decoded as p's own value."""
+    _check_trop_value(a)
     _require_positive_degree(p)
-    scale, cs, e = _scaled(p, a)
+    scale, cs, (e,) = _scaled(p.coeffs, (a,))
     return Polynomial(TROPICAL, tuple(
         x if v == y else TROPICAL.zero if v is None else TropValue(Fraction(v, scale))
         for v, y, x in zip(_maximal_quotient(cs, e, a), cs[1:], p.coeffs[1:])))
@@ -215,8 +217,9 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     decoded once.  For exploring the quotient set at desk scale, not for
     characterizing it.
     """
+    _check_trop_value(a)
     _require_positive_degree(p)
-    scale, cs, e, *ds = _scaled(p, a, *(TropValue(Fraction(d)) for d in deltas))
+    scale, cs, (e, *ds) = _scaled(p.coeffs, (a, *(TropValue(Fraction(d)) for d in deltas)))
     options = []
     for t in _maximal_quotient(cs, e, a):
         # top_i, then the other values position i may take, each once

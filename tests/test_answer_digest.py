@@ -3,17 +3,26 @@ seeds 1-3, asked through the benchmark worker's own preparation and
 printed with its answer form, one canonical JSON line whose SHA-256 is
 pinned.  The ``cli`` questions of the same seeds are a second pinned
 line: each documented invocation run in-process through
-``hyperpoly.cli.run``, with its exit code, stdout and SVG text.  A
-change that moves a digest changes some answer; print the text in two
-checkouts and diff them to see which:
+``hyperpoly.cli.run``, with its exit code, stdout and SVG text.  The
+``selftest`` reports are a third: the axiom reports of both fields and
+of two broken field tables, the morphism law and pushforward reports,
+the non-uniqueness witness and the ``selftest`` output.  The README's
+command-line examples and the refused invocations of the CLI's hostile
+input matrix, with their exit codes, output and error text, are a
+fourth.  A change that moves a digest changes some answer; print the
+text in two checkouts and diff them to see which:
 
     PYTHONPATH=src python tests/test_answer_digest.py > answers.json
     PYTHONPATH=src python tests/test_answer_digest.py cli > cli.json
+    PYTHONPATH=src python tests/test_answer_digest.py reports > reports.json
+    PYTHONPATH=src python tests/test_answer_digest.py readme > readme.json
 """
 
+import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from fractions import Fraction
@@ -27,11 +36,19 @@ import workloads  # noqa: E402
 
 import hyperpoly  # noqa: E402
 import hyperpoly.cli  # noqa: E402
+from hyperpoly.axioms import check_axioms  # noqa: E402
+from hyperpoly.fields import (SIGN, TROPICAL, SignField, TropicalField,  # noqa: E402
+                              TropSubset, TropValue)
+from hyperpoly.morphisms import (check_morphism_laws, check_pushforward_lemma,  # noqa: E402
+                                 nonuniqueness_witness)
+from test_cli import _hostile_argvs, _readme_examples  # noqa: E402
 
 WORKLOADS = ("sign", "tropical")
 SEEDS = (1, 2, 3)
 DIGEST = "e5a18a25002fcb1ec5fe334c116dc85ce7de52df47f57b39da98100ebe3e223d"
 CLI_DIGEST = "878c781ddd3b4aeeaea4410cce1c49739abb56e6263b606bf6d3c3709d747581"
+REPORT_DIGEST = "e22155248545c10f3cdb7c3e76b5500aa7541ec2a8912eace5da561efff24336"
+README_DIGEST = "1a7e91f56361427d17bd8d565ba284276e3cfbc5bbaccf422a74c4d713220f21"
 
 
 def _hull_roots(p) -> list:
@@ -89,6 +106,89 @@ def cli_answer_text() -> str:
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
+class _MaxSignField(SignField):
+    """A broken sign table: a + b is {max(a, b)}, so a + (-a) misses 0."""
+
+    name = "max-sign"
+
+    @staticmethod
+    def hyperadd(values) -> frozenset:
+        return frozenset((max(values),))
+
+    @staticmethod
+    def hyperadd_subset(a, s) -> frozenset:
+        return frozenset(max(a, d) for d in s)
+
+
+class _SingletonTropicalField(TropicalField):
+    """A broken tropical table: every sum of elements is the singleton {max},
+    while a + S keeps the true table's interval, and -a negates the
+    exponent."""
+
+    name = "singleton-tropical"
+
+    @staticmethod
+    def neg(a: TropValue) -> TropValue:
+        return a if a.is_zero else TropValue(-a.exponent)
+
+    @staticmethod
+    def hyperadd(values) -> TropSubset:
+        return TropSubset.singleton(max(values))
+
+
+def report_text() -> str:
+    """The ``selftest`` checks' reports, with every failure's text, and the
+    ``selftest`` output, in one JSON line."""
+    out = [check_axioms(SIGN)]
+    out += [check_axioms(TROPICAL, budget, seed)
+            for budget, seed in ((100, 0), (300, 1), (500, 2))]
+    out += [check_axioms(_MaxSignField()), check_axioms(_SingletonTropicalField(), 200, 3)]
+    for morphism in ("sign", "valuation"):
+        for seed in (0, 1):
+            out.append(check_morphism_laws(morphism, trials=200, seed=seed))
+            out.append(check_pushforward_lemma(trials=100, seed=seed, morphism=morphism))
+    out.append(nonuniqueness_witness())
+    stdout = io.StringIO()
+    out.append([hyperpoly.cli.run(["selftest", "--trials", "20"], out=stdout), stdout.getvalue()])
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+def _run_in_process(argv) -> tuple:
+    """Exit code, stdout and stderr of ``hyperpoly.cli.run(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = hyperpoly.cli.run(argv, out=stdout)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def readme_text() -> str:
+    """Each README command-line example's exit code, stdout, stderr and SVG
+    text, then each hostile-input argv's exit code and stderr, in one JSON
+    line.  They run in a temporary working directory, where a relative
+    ``--svg`` path lands, with argparse's usage text 80 columns wide."""
+    out = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.chdir(tmp)
+        try:
+            for argv, _ in _readme_examples():
+                svg = Path(tmp) / "polygon.svg"
+                result = _run_in_process(argv)
+                svg_text = svg.read_text(encoding="utf-8") if svg.exists() else None
+                svg.unlink(missing_ok=True)
+                out.append([argv, *result, svg_text])
+            for argv in _hostile_argvs():
+                code, _, stderr = _run_in_process(argv)
+                out.append([[a[:40] for a in argv], code, stderr])
+        finally:
+            os.chdir(cwd)
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
 def test_answers_keep_their_digest():
     assert hashlib.sha256(answer_text().encode()).hexdigest() == DIGEST
 
@@ -97,5 +197,14 @@ def test_cli_answers_keep_their_digest():
     assert hashlib.sha256(cli_answer_text().encode()).hexdigest() == CLI_DIGEST
 
 
+def test_reports_keep_their_digest():
+    assert hashlib.sha256(report_text().encode()).hexdigest() == REPORT_DIGEST
+
+
+def test_readme_and_refusals_keep_their_digest():
+    assert hashlib.sha256(readme_text().encode()).hexdigest() == README_DIGEST
+
+
 if __name__ == "__main__":
-    print(cli_answer_text() if sys.argv[1:] == ["cli"] else answer_text())
+    texts = {"cli": cli_answer_text, "reports": report_text, "readme": readme_text}
+    print(texts.get(" ".join(sys.argv[1:]), answer_text)())

@@ -1,6 +1,7 @@
 """Polynomial container, product coefficient sets, membership, roots."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
@@ -17,6 +18,7 @@ from hyperpoly import (
     TropValue,
     ZeroOperandError,
     associated,
+    divide,
     divides_linearly,
     enumerate_product,
     in_product,
@@ -27,6 +29,7 @@ from hyperpoly import (
     poly_sort_key,
     product_coefficient_sets,
     pushforward,
+    search_quotients,
     sign_poly,
     trop_poly,
 )
@@ -179,6 +182,19 @@ def test_is_root():
             continue
         for a in (-1, 0, 1):
             assert is_root(p, a) == (a in raw_sign_roots(p.coeffs))
+
+
+def test_division_entry_points_refuse_values_outside_the_field():
+    p, q = trop_poly([1, 0, 1, 0]), trop_poly([0, -1, 0])
+    calls = {"1": lambda: is_root(p, 1), "Fraction(1, 1)": lambda: divide(p, Fraction(1)),
+             "'1'": lambda: search_quotients(p, "1"), "0": lambda: is_quotient(p, 0, q),
+             "'" + "9" * 19: lambda: is_root(p, "9" * 50)}  # cut to 20 characters
+    for shown, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"tropical values are TropValue instances, got {shown}") + "$"):
+            call()
+    with pytest.raises(ValueError, match="^sign values are -1, 0 or 1, got 2$"):
+        divides_linearly(sign_poly([-1, 0, 1]), 2, sign_poly([1, 1]))
 
 
 def test_associated_and_monic():

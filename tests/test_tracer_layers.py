@@ -66,7 +66,8 @@ def test_in_product_path_counters():
 # a three-factor and a two-factor tropical membership decided by the chain
 # search, which runs on scaled integer exponents: no row sets, no
 # hypersums, no multiplied TropValues; a division check is membership in
-# the two-factor product (T + a) * q, and takes the same path.  Only the
+# the two-factor product (T + a) * q, and takes the same path on the
+# coefficient tuples, wrapping none of them in a Polynomial.  Only the
 # three-factor chain runs the all-tops hull check: the row check alone
 # decides two factors
 _COUNT_TROPICAL_CHAIN = """
@@ -78,14 +79,11 @@ from hyperpoly import TropValue, polynomials, tropical, trop_poly
 tracer = tracer_module.Tracer().install()
 p, a = trop_poly([0, "3/2", 1, 0]), TropValue.log(1)
 q = tropical.divide(p, a)
-questions = [
-    lambda: polynomials.in_product(
-        trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"]),
-        [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])]),
-    lambda: polynomials.in_product(trop_poly(["1/2", "1/2", "-1/3", 0]),
-                                   [trop_poly(["1/2", 0, 0]), trop_poly([0, 0])]),
-    lambda: tropical.is_quotient(p, a, q),
-]
+three = (trop_poly(["1/2", "5/6", "5/6", "5/6", "1/3"]),
+         [trop_poly([0, 0, 0]), trop_poly(["1/2", 0]), trop_poly([0, "1/3"])])
+two = (trop_poly(["1/2", "1/2", "-1/3", 0]), [trop_poly(["1/2", 0, 0]), trop_poly([0, 0])])
+questions = [lambda: polynomials.in_product(*three), lambda: polynomials.in_product(*two),
+             lambda: tropical.is_quotient(p, a, q)]
 out = []
 for question in questions:
     before = tracer.snapshot()
@@ -93,8 +91,8 @@ for question in questions:
     after = tracer.snapshot()
     out.append([member, {k: after[k] - before[k] for k in (
         "polynomials._chain_member.calls", "polynomials._linear_tropical_member.calls",
-        "polynomials._product_rows.calls", "fields.trop_hyperadd.calls",
-        "fields.TropValue.__mul__.calls")}])
+        "polynomials._product_rows.calls", "polynomials.Polynomial.__post_init__.calls",
+        "fields.trop_hyperadd.calls", "fields.TropValue.__mul__.calls")}])
 print(json.dumps(out))
 """
 
@@ -109,6 +107,7 @@ def test_tropical_chain_counters():
         assert counts == {"polynomials._chain_member.calls": 1,
                           "polynomials._linear_tropical_member.calls": hull_check,
                           "polynomials._product_rows.calls": 0,
+                          "polynomials.Polynomial.__post_init__.calls": 0,
                           "fields.trop_hyperadd.calls": 0,
                           "fields.TropValue.__mul__.calls": 0}
 
@@ -194,12 +193,12 @@ def test_sign_product_counters():
     # five answers; no operand wrapped; the monic target of a cold table search;
     # the chain's last link checks the target's coefficients against their
     # cross terms, so in_product builds the middle step's rows only, and a
-    # division check, the two-factor membership in (T - a) * q, none: its
-    # one Polynomial is the factor T - a
+    # division check, the two-factor membership in (T - a) * q, none, and
+    # it passes T - a as the coefficient tuple (-a, 1)
     assert json.loads(out) == {"enumerate_product": [5, counts(5, 4)],
                                "in_product": [True, counts(0, 1)],
                                "all_factorizations_sign": [3, counts(1, 885)],
-                               "divides_linearly": [True, counts(1, 0)]}
+                               "divides_linearly": [True, counts(0, 0)]}
 
 
 # the tracer wraps Polynomial.__post_init__ and TropValue.__lt__, so one
