@@ -134,12 +134,12 @@ def check_axioms(field, sample_budget: int = 1000, seed: int = 0) -> dict:
 
         if key_ab not in seen_pairs:
             seen_pairs.add(key_ab)
-            field.hyperadd([a, b])  # total by construction; raising would fail the suite
-            check(nonempty, True)
-            check(comm, field.hyperadd([a, b]) == field.hyperadd([b, a]), a, b)
+            s = field.hyperadd([a, b])
+            check(nonempty, bool(s), a, b)  # a tropical sum always holds its top
+            check(comm, s == field.hyperadd([b, a]), a, b)
             # HG4 uniqueness: no b distinct from -a may satisfy 0 in a+b
             if b != field.neg(a):
-                check(inverse, not field.subset_contains(field.hyperadd([a, b]), zero), a, b)
+                check(inverse, not field.subset_contains(s, zero), a, b)
 
         check(mul_assoc, field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c)), a, b, c)
         check(mul_comm, field.mul(a, b) == field.mul(b, a), a, b)

@@ -1,8 +1,33 @@
 """Exception types shared across the package.
 
 Domain errors carry a short ``code`` string that the CLI emits in its
-machine-readable error objects.
+machine-readable error objects.  ``_quoted`` is the one bounded quote of
+a value in an error message.
 """
+
+from fractions import Fraction
+
+
+def _quoted(token) -> str:
+    """The repr of a token cut to 20 characters, so that an error about a
+    huge token stays short: a string is cut before quoting, and an int or
+    a Fraction converts only the digits that show."""
+    if isinstance(token, str):
+        return repr(token[:20])
+    if isinstance(token, Fraction):
+        return f"Fraction({_leading(token.numerator)}, {_leading(token.denominator)})"[:20]
+    if isinstance(token, int) and not isinstance(token, bool):
+        return _leading(token)
+    return repr(token)[:20]
+
+
+def _leading(n: int) -> str:
+    """str(n) cut to 20 characters: n loses all but at least 21 leading
+    digits first (a b-bit n has more than (b - 1) * 3 // 10 digits)."""
+    excess = (abs(n).bit_length() - 1) * 3 // 10 - 20
+    if excess > 0:
+        n = -(-n // 10 ** excess) if n < 0 else n // 10 ** excess
+    return str(n)[:20]
 
 
 class HyperfieldError(Exception):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PolynomialParseError
+from .errors import PolynomialParseError, _quoted
 from .fields import SIGN, TROPICAL, TropValue, field_by_name
 from .polynomials import Polynomial
 
@@ -34,14 +34,6 @@ __all__ = [
 # the largest k accepted in a monomial T^k; the parser builds a tuple of
 # length k + 1, so this bounds the allocation a short text can request
 MAX_EXPONENT = 10_000
-
-
-def _quoted(token) -> str:
-    """The repr of a token cut to 20 characters, so that an error about a
-    huge token stays short: a string is cut before quoting."""
-    if isinstance(token, str):
-        return repr(token[:20])
-    return repr(token)[:20]
 
 
 def parse_element(text: str, field, column=None):

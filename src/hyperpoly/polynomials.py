@@ -15,27 +15,24 @@ edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
 is not associative, so the nesting matters).  Two factors are decided by
 the row check alone, each target coefficient against its row's cross
-terms, which is the definition of membership.  Three or more are one
-depth-first search over the chain's intermediates, ending in that row
-check.  The end coefficients of a member are forced, the products of
-the factors' ends; a sign search checks them on the ints first, and a
-sign step tries every member of the two-factor product, so that search
-is exhaustive.  A tropical intermediate coefficient lies in a singleton
-or an interval [0, top]; a step tries the top first, then tie values
-derived from the target and the remaining factors.  That search runs on
-exponents scaled by the lcm of their denominators: the scaling turns
-every exponent into an int and keeps order and sums, so the search adds
-and compares plain ints and decides what it would on Fractions.
-``_scaled``, which encodes tuples of ``TropValue``s, is the one encoder
-for this, shared with the Newton polygon, tropical division and the
-quotient search in ``tropical``, as ``_lower_hull`` is the one hull
-routine.  Before a tropical search, a target failing the all-tops check
-``_linear_tropical_member`` is refused at once; no member fails it, and
-it decides the end coefficients and linear factors.  The search's first
-descent, each interval's top, meets the intermediates of that all-tops
-chain and reuses their rows.  So tropical membership multiplies no
-``TropValue``, and the search, which can miss members, runs only with
-three or more factors, one of degree two or more.
+terms, which is the definition of membership.  Three or more over the
+sign field are one depth-first search over the chain's intermediates,
+ending in that row check: the end coefficients of a member are forced,
+the products of the factors' ends, and are checked on the ints first,
+and a step tries every member of the two-factor product, so the search
+is exhaustive.  Tropical membership runs on exponents scaled by the lcm
+of their denominators: the scaling turns every exponent into an int and
+keeps order and sums, so the code adds and compares plain ints and
+decides what it would on Fractions.  ``_scaled``, which encodes tuples
+of ``TropValue``s, is the one encoder for this, shared with the Newton
+polygon, tropical division and the quotient search in ``tropical``, as
+``_lower_hull`` is the one hull routine.  A tropical target of three or
+more factors failing the all-tops check ``_linear_tropical_member`` is
+refused at once; no member fails it, and it decides linear factors.
+Any other chain is decided exactly by ``_greatest_chain``, which lowers
+bounds from the all-tops chain to the greatest chain through the
+target, or proves there is none.  So tropical membership multiplies no
+``TropValue``, and each of its answers is a proof.
 
 Each field has one root test, on its own encoding, shared by ``is_root``
 and both divisions: ``_tropical_root`` on ``_scaled`` exponents, which
@@ -59,9 +56,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Iterable, Sequence
+from itertools import combinations
 from itertools import product as iter_product
 
-from .errors import DegreeBoundExceeded, ZeroOperandError
+from .errors import DegreeBoundExceeded, ZeroOperandError, _quoted
 from .fields import SIGN, TROPICAL, TropValue, _Record
 
 __all__ = [
@@ -208,12 +206,12 @@ def is_root(p: Polynomial, a) -> bool:
 
 def _check_sign_value(a):
     if a not in (-1, 0, 1):
-        raise ValueError(f"sign values are -1, 0 or 1, got {a!r}")
+        raise ValueError(f"sign values are -1, 0 or 1, got {_quoted(a)}")
 
 
 def _check_trop_value(a):
     if not isinstance(a, TropValue):
-        raise ValueError(f"tropical values are TropValue instances, got {a!r:.20}")
+        raise ValueError(f"tropical values are TropValue instances, got {_quoted(a)}")
 
 
 def _sign_root(cs: tuple, a: int):
@@ -320,62 +318,45 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
 
 
 def _chain_member(field, target: tuple, coeffs) -> bool:
-    """Depth-first search over the intermediate coefficient tuples: a sign
-    step tries the members of the two-factor product, a tropical step the
-    candidates of ``_tropical_options``, and the last step checks the
-    target row by row, a sign coefficient against its row's cross terms.
-    The target and the factors ``coeffs`` are nonzero coefficient tuples
-    over ``field``, of matching degrees.
+    """Whether the target is in the left-nested product of the factors
+    ``coeffs``, nonzero coefficient tuples over ``field`` of matching degrees.
 
-    Two factors: the row check alone, which is the definition of
-    membership.  Three or more: a sign target must first have the forced
-    end coefficients, the products of the factors' ends; a tropical one
-    must pass ``_linear_tropical_member``, which decides the ends and
-    alone decides linear factors, before the search, whose first descent
-    reuses the rows of that all-tops pass.  The tropical search runs on
-    ``_scaled`` exponents, plain ints."""
+    Two factors: the row check alone, each target coefficient against its
+    row's cross terms, which is the definition of membership.  Three or
+    more over the tropical field, on ``_scaled`` exponents: the target
+    must pass ``_linear_tropical_member`` against the all-tops chain,
+    which alone decides linear factors, and ``_greatest_chain`` decides
+    the rest.  Three or more over the sign field: the target must have
+    the forced end coefficients, the products of the factors' ends, and a
+    depth-first search over the intermediates tries every member of each
+    two-factor product."""
     last = len(coeffs) - 1
     if field is TROPICAL:
         _, target, *coeffs = _scaled(target, *coeffs)
-        rows = {}  # (idx, intermediate) -> its rows with coeffs[idx], from the all-tops pass
-
-        def is_last_link(cs):
-            return len(cs) + len(coeffs[last]) == len(target) + 1 and all(
-                _at_most(c, top) if tied else c == top for c, (top, tied) in
-                zip(target, rows.get((last, cs)) or _scaled_rows(cs, coeffs[last])))
-
         if last == 1:
-            return is_last_link(coeffs[0])
-        tops = coeffs[0]
-        for idx in range(1, last + 1):
-            level = rows[idx, tops] = tuple(_scaled_rows(tops, coeffs[idx]))
-            tops = tuple(top for top, _ in level)
-        if not _linear_tropical_member(target, tops):
+            return len(target) == len(coeffs[0]) + len(coeffs[1]) - 1 and all(
+                _at_most(c, top) if tied else c == top
+                for c, (top, tied) in zip(target, _scaled_rows(*coeffs)))
+        tops = [coeffs[0]]
+        for q in coeffs[1:]:
+            tops.append(tuple(top for top, _ in _scaled_rows(tops[-1], q)))
+        if not _linear_tropical_member(target, tops[-1]):
             return False
-        if all(len(d) == 2 for d in coeffs):
-            return True
-        anchor_pool = _tropical_anchor_pool(target, coeffs)
+        return (all(len(d) == 2 for d in coeffs)
+                or _greatest_chain(target, coeffs, tops[1:-1]) is not None)
 
-        def children(cs, idx):
-            level = rows.get((idx, cs)) or tuple(_scaled_rows(cs, coeffs[idx]))
-            return iter_product(*_tropical_options(level, anchor_pool[idx], coeffs[idx + 1]))
-    else:
-        def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with the target
-            terms = [[] for _ in target]  # the cross terms of each row
-            for k, x in enumerate(cs):
-                for i, y in enumerate(coeffs[last], k):
-                    terms[i].append(x * y)
-            return all(map(SIGN.contains, target, terms))
+    def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with the target
+        terms = [[] for _ in target]  # the cross terms of each row
+        for k, x in enumerate(cs):
+            for i, y in enumerate(coeffs[last], k):
+                terms[i].append(x * y)
+        return all(map(SIGN.contains, target, terms))
 
-        if last == 1:
-            return is_last_link(coeffs[0])
-        if (target[0] != math.prod(c[0] for c in coeffs)
-                or target[-1] != math.prod(c[-1] for c in coeffs)):
-            return False
-
-        def children(cs, idx):
-            return _product_members(cs, coeffs[idx])
-
+    if last == 1:
+        return is_last_link(coeffs[0])
+    if (target[0] != math.prod(c[0] for c in coeffs)
+            or target[-1] != math.prod(c[-1] for c in coeffs)):
+        return False
     seen = set()  # (step, intermediate) pairs already explored without success
 
     def step(cs: tuple, idx: int) -> bool:
@@ -384,12 +365,141 @@ def _chain_member(field, target: tuple, coeffs) -> bool:
         if idx == last:
             found = is_last_link(cs)
         else:
-            found = any(step(w, idx + 1) for w in children(cs, idx))
+            found = any(step(w, idx + 1) for w in _product_members(cs, coeffs[idx]))
         if not found:
             seen.add((idx, cs))
         return found
 
     return step(coeffs[0], 1)
+
+
+def _greatest_chain(target: tuple, coeffs, tops) -> list | None:
+    """The greatest intermediates w_1 .. w_{n-1} of a tropical chain from
+    w_0 = coeffs[0] through w_i in w_{i-1} * coeffs[i] to w_n = target, or
+    None when there is no such chain.  Everything is ``_scaled``, None the
+    zero; ``tops`` are the all-tops intermediates.
+
+    A row of a link holds when the maximum of its entries, the value
+    w_i[j] and the terms w_{i-1}[k] + coeffs[i][j - k], is attained twice
+    or every entry is the zero.  Bounds start at ``tops`` and only come
+    down, by two rules per row, where ``first`` and ``second`` are the
+    largest and the runner-up term bound (equal for a tie):
+
+    1. a value bound above ``first`` comes down to ``first``; at the target
+       that refutes membership;
+    2. a term that alone is largest and above the value bound comes down to
+       the larger of the value bound and ``second``; in the first link,
+       whose terms are fixed, that refutes membership.
+
+    Why the answer is exact.  Every chain lies below the all-tops chain,
+    and each rule lowers a bound only past values that no chain below the
+    bounds can take, so every chain stays below the bounds.  When no rule
+    applies, every row holds with its entries at their bounds, so the
+    bounds are a chain: the greatest one.  (That it exists also follows
+    from each row relation being closed under the coordinatewise maximum,
+    as Jeavons and Cooper observe for max-closed constraints: the larger
+    of two rows' maxima keeps its ties, or both rows attain it.)
+
+    Why the sweeps end.  Rule 2 can chase two bounds downward for ever:
+    a zero target coefficient may ask w[1] + c to tie w[2] + d in one row
+    and w[1] + c' to tie w[2] + d' in another.  So a bound below ``floor``
+    becomes the zero.  That is sound: raising a set of finite
+    intermediate coefficients that ties nothing outside itself keeps a
+    chain a chain, until it ties something, and the all-tops chain caps
+    the raise, so the greatest chain links each of its finite
+    coefficients, tie by tie through at most all of them, to a target or
+    first-factor coefficient, and each tie moves the value by at most the
+    spread D of the factor exponents and 0.  With the floor every bound
+    takes finitely many values, so the sweeps end.  A chase or a long
+    descent toward a distant tie still takes a number of sweeps that grows
+    with the exponents, so ``_replay_windows`` jumps over repeated sweeps.
+    """
+    last = len(coeffs) - 1
+    levels = [coeffs[0], *map(list, tops), target]
+    spread = [0, *(e for q in coeffs[1:] for e in q if e is not None)]
+    size = sum(map(len, tops))
+    floor = (min(e for e in target + coeffs[0] if e is not None)
+             - size * (max(spread) - min(spread)))
+    history = []  # the intermediates before each of the latest sweeps
+    while True:
+        history.append([tuple(w) for w in levels[1:last]])
+        moved = False
+        for idx in range(1, last + 1):
+            below, q, w = levels[idx - 1], coeffs[idx], levels[idx]
+            m, n = len(q) - 1, len(below) - 1
+            for i, v in enumerate(w):
+                first = second = None
+                for k in range(i - m if i > m else 0, (i if i < n else n) + 1):
+                    x, y = below[k], q[i - k]
+                    if x is None or y is None:
+                        continue
+                    s = x + y
+                    if first is None or s > first:
+                        first, second, top = s, first, k
+                    elif second is None or s > second:
+                        second = s
+                if v is not None and (first is None or v > first):  # rule 1
+                    if idx == last:
+                        return None
+                    w[i] = v = None if first is None or first < floor else first
+                    moved = True
+                if (first is not None and (v is None or first > v)
+                        and (second is None or first > second)):  # rule 2
+                    if idx == 1:
+                        return None
+                    if v is None or second is not None and second > v:
+                        v = second
+                    below[top] = None if v is None or v - q[i - top] < floor else v - q[i - top]
+                    moved = True
+        if not moved:
+            return history[-1]
+        if len(history) > size:
+            if _replay_windows(levels, history, coeffs, floor):
+                history.clear()
+            else:
+                del history[0]
+
+
+def _replay_windows(levels, history, coeffs, floor) -> bool:
+    """Jump ``_greatest_chain`` over sweeps that would repeat a window of
+    the latest ones, shifted: True if it lowered ``levels``.
+
+    In a window of the latest p sweeps, from a snapshot in ``history`` to
+    ``levels``, let each bound b move down by d_b, none to the zero.  The
+    sweeps only compare entries of one row, and set a bound to an entry of
+    its row less a constant.  So from the bounds lowered by j d the same p
+    sweeps lower them by d once more, comparison for comparison, while
+    any two entries of a row with different d stay apart (their ranges
+    over the window, shifted by j d, are disjoint) and no bound passes
+    ``floor``.  A bound set from an entry with another d shares a value
+    with it in the window, so it lets no jump through.
+    """
+    for then in reversed(history):
+        pairs = [(a, b) for was, w in zip(then, levels[1:-1]) for a, b in zip(was, w)]
+        if any(b is None and a is not None for a, b in pairs):
+            continue
+        jump = min((b - floor) // (a - b) for a, b in pairs if a != b)
+        before = [levels[0], *then, levels[-1]]
+        for idx in range(1, len(levels)):
+            q, below, was = coeffs[idx], levels[idx - 1], before[idx - 1]
+            for i, v in enumerate(levels[idx]):
+                entries = [(was[k] + q[i - k], below[k] + q[i - k]) for k in range(len(below))
+                           if 0 <= i - k < len(q) and below[k] is not None and q[i - k] is not None]
+                if v is not None:
+                    entries.append((before[idx][i], v))
+                for (hi, lo), (hi2, lo2) in map(sorted, combinations(entries, 2)):
+                    if hi - lo != hi2 - lo2:  # the upper entry closes in at the rate
+                        rate = hi2 - lo2 - hi + lo
+                        jump = min(jump, (lo2 - hi - 1) // rate if rate > 0 else jump)
+                        if hi >= lo2:
+                            jump = 0
+        if jump > 0:
+            for w, was in zip(levels[1:-1], then):
+                for i, (a, b) in enumerate(zip(was, w)):
+                    if b is not None:
+                        w[i] = b - jump * (a - b)
+            return True
+    return False
 
 
 def _scaled(*groups) -> tuple:
@@ -478,45 +588,6 @@ def _scaled_rows(a: tuple, b: tuple):
             elif s == top:
                 tied = True
         yield top, tied
-
-
-def _tropical_options(rows, anchors, next_coeffs) -> list:
-    """Candidates per coefficient of a tropical intermediate: an interval row
-    tries its top, then ties against ``anchors`` (target-derived), against
-    the singleton rows and the next factor's cross-term ratios, then zero.
-    Rows come from ``_scaled_rows``, and candidates are scaled exponents."""
-    anchors = set(anchors)
-    anchors.update(top for top, tied in rows if not tied)
-    next_exps = [e for e in next_coeffs if e is not None]
-    ratios = {l1 - l2 for l1 in next_exps for l2 in next_exps}
-    ties = {a + d for a in anchors for d in ratios} | anchors
-    out = []
-    for top, tied in rows:
-        if not tied:
-            out.append((top,))
-        elif top is None:
-            out.append((None,))  # the row is {zero}
-        else:
-            out.append([top, *sorted((v for v in ties if v < top), reverse=True), None])
-    return out
-
-
-def _tropical_anchor_pool(target: tuple, coeffs) -> dict:
-    """Target exponents pulled back through the factors still to come.
-
-    A coefficient of the intermediate built at step ``idx`` reaches the
-    final rows multiplied by one coefficient of each later factor, so
-    the exponents that can tie against a target coefficient are the
-    target exponents minus such chain sums.  All values are scaled.
-    """
-    pools = {}
-    targets = [c for c in target if c is not None]
-    for idx in range(1, len(coeffs) - 1):
-        chain_sums = {0}
-        for d in coeffs[idx + 1:]:
-            chain_sums = {s + e for s in chain_sums for e in d if e is not None}
-        pools[idx] = {t - s for t in targets for s in chain_sums}
-    return pools
 
 
 # ---------------------------------------------------------------------------

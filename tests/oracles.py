@@ -16,29 +16,23 @@ those against the raw enumerations here.  The tropical quotient search
 oracle likewise perturbs ``divide``'s answer, and keeps what
 ``reference_divides_linearly`` accepts: the coefficient relations of
 p in (T - a) * q checked one by one, where the library decides that
-membership by its chain search.  The tests require the same verdict
-from both.  The tropical quotient search reference is the quotient walk
-on ``TropValue`` coefficients, relations tested with
+membership by its two-factor row check.  The tests require the same
+verdict from both.  The tropical quotient search reference is the
+quotient walk on ``TropValue`` coefficients, relations tested with
 ``TROPICAL.contains``, where the library walks integer-scaled exponents;
-the tests require the same list from both.  The tropical chain reference
-is the library's tropical chain search written on ``TropValue``
-coefficients through ``product_coefficient_sets`` and
-``TropSubset.contains``, where the library runs it on integer-scaled
-exponents, after a check against the hull of the all-tops chain that
-decides the end coefficients and linear factors alone; the tests require
-the same verdict from both.  The closed form for linear factors, suffix
-products of the sorted roots on TropValue coefficients, is kept as a
-third reference for that check.  The Newton polygon reference is
-the monotone-chain hull on the Fraction heights themselves, where the
-library builds it on integer-scaled exponents; the tests require the
-same vertices, slopes and zero multiplicity from both.  The two division
-references reach the same quotients another way: tropical division by
-the sorted root list expanded from that reference polygon, and sign
-division by the root test of ``raw_sign_roots`` (the hypersum folded
-over the literal table) followed by a second scan for the first sign
-flip, where the library reads the root test and the split off one list
-of terms.  The tests require the same quotient or the same error from
-both.
+the tests require the same list from both.  The closed form for linear
+factors, suffix products of the sorted roots on TropValue coefficients,
+is the reference for the all-tops hull check that decides them.  The
+Newton polygon reference is the monotone-chain hull on the Fraction
+heights themselves, where the library builds it on integer-scaled
+exponents; the tests require the same vertices, slopes and zero
+multiplicity from both.  The two division references reach the same
+quotients another way: tropical division by the sorted root list
+expanded from that reference polygon, and sign division by the root
+test of ``raw_sign_roots`` (the hypersum folded over the literal table)
+followed by a second scan for the first sign flip, where the library
+reads the root test and the split off one list of terms.  The tests
+require the same quotient or the same error from both.
 """
 
 from fractions import Fraction
@@ -351,41 +345,6 @@ def _reference_linear_quotients(p, a, options, budget=0):
                    if f.contains(c[n], [f.zero, prev]) for d, _ in prefixes), key=poly_sort_key)
 
 
-def reference_tropical_chain_member(r, fs):
-    """The tropical branch of ``polynomials._chain_member`` on TropValue
-    coefficients, without its hull check or its answer for linear
-    factors: refuse a target above the all-tops chain, then search the
-    intermediates depth first over ``reference_tropical_options`` and check
-    the last link row by row, which alone decides two factors."""
-    f = r.field
-    last = len(fs) - 1
-    # every member lies coefficientwise below the all-tops chain
-    tops = fs[0]
-    for q in fs[1:]:
-        tops = Polynomial(f, tuple(s.top for s in product_coefficient_sets(tops, q)))
-    if any(t < c for t, c in zip(tops.coeffs, r.coeffs)):
-        return False
-    anchor_pool = reference_tropical_anchor_pool(r, fs)
-    seen = set()  # (step, intermediate) pairs already explored without success
-
-    def step(cs: tuple, idx: int) -> bool:
-        if (idx, cs) in seen:
-            return False
-        if idx == last:
-            rows = product_coefficient_sets(Polynomial(f, cs), fs[idx])
-            found = len(rows) == len(r.coeffs) and all(
-                row.contains(x) for row, x in zip(rows, r.coeffs))
-        else:
-            rows = product_coefficient_sets(Polynomial(f, cs), fs[idx])
-            options = reference_tropical_options(rows, anchor_pool[idx], fs[idx + 1])
-            found = any(step(w, idx + 1) for w in iter_product(*options))
-        if not found:
-            seen.add((idx, cs))
-        return found
-
-    return step(fs[0].coeffs, 1)
-
-
 def reference_linear_tropical_member(r, fs) -> bool:
     """Closed-form membership in a product of linear tropical factors.
 
@@ -410,47 +369,6 @@ def reference_linear_tropical_member(r, fs) -> bool:
         elif not c[i] <= suffix:
             return False
     return True
-
-
-def reference_tropical_options(rows, anchors, next_factor) -> list:
-    """Candidates per coefficient of a tropical intermediate: an interval row
-    tries its top, then ties against ``anchors`` (target-derived), against
-    the singleton rows and the next factor's cross-term ratios, then zero."""
-    anchors = set(anchors)
-    anchors.update(s.top.exponent for s in rows if not s.interval and not s.top.is_zero)
-    next_exps = [c.exponent for c in next_factor.coeffs if not c.is_zero]
-    ratios = {l1 - l2 for l1 in next_exps for l2 in next_exps}
-    ties = {a + d for a in anchors for d in ratios} | anchors
-    out = []
-    for row in rows:
-        if not row.interval:
-            out.append([row.top])
-            continue
-        cands = [row.top]
-        cands.extend(sorted((TropValue(v) for v in ties
-                             if TROPICAL.zero < TropValue(v) < row.top), reverse=True))
-        cands.append(TROPICAL.zero)
-        out.append(cands)
-    return out
-
-
-def reference_tropical_anchor_pool(r, fs):
-    """Target coefficients pulled back through the factors still to come.
-
-    A coefficient of the intermediate built at step ``idx`` reaches the
-    final rows multiplied by one coefficient of each later factor, so
-    the exponents that can tie against a target coefficient are the
-    target exponents minus such chain sums.
-    """
-    pools = {}
-    targets = [c.exponent for c in r.coeffs if not c.is_zero]
-    for idx in range(1, len(fs) - 1):
-        chain_sums = {Fraction(0)}
-        for q in fs[idx + 1:]:
-            exps = [c.exponent for c in q.coeffs if not c.is_zero]
-            chain_sums = {s + e for s in chain_sums for e in exps}
-        pools[idx] = {t - s for t in targets for s in chain_sums}
-    return pools
 
 
 def _reference_cross(o, a, b):

@@ -1,7 +1,7 @@
 """Axiom suites: exhaustive over the sign field, sampled over the tropical."""
 
 from hyperpoly import SIGN, TROPICAL, check_axioms
-from hyperpoly.fields import sign_hyperadd, trop_hyperadd, TropValue
+from hyperpoly.fields import SignField, TropValue, sign_hyperadd, trop_hyperadd
 
 
 def test_sign_axioms_exhaustive():
@@ -42,3 +42,17 @@ def test_tropical_determinism():
 def test_degenerate_pool_exercises_interval_branch():
     one = TropValue.log(0)
     assert trop_hyperadd([one, one]).interval
+
+
+class _MixedSignsSumToNothing(SignField):
+    """The sign table with 1 + (-1) and (-1) + 1 empty."""
+
+    @staticmethod
+    def hyperadd(values) -> frozenset:
+        return frozenset() if 1 in values and -1 in values else sign_hyperadd(values)
+
+
+def test_empty_sum_fails_hg1():
+    laws = {entry["law"]: entry for entry in check_axioms(_MixedSignsSumToNothing())["laws"]}
+    assert laws["HG1-nonempty"]["cases"] == 9
+    assert laws["HG1-nonempty"]["failures"] == ["(-1, 1)", "(1, -1)"]

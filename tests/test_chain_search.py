@@ -1,18 +1,20 @@
 """Cross-checks for n-fold tropical membership against a grid oracle.
 
-For integer-exponent inputs every tie in the constraint system happens
-at an integer, so a half-step grid over a wide enough range (plus zero)
-hits a witness whenever one exists: integer points cover the ties and
-half-integer points cover the open interiors.  That makes the oracle
-below complete on such instances, at brute-force cost.  The search
-runs on exponents scaled to integers; the differential tests compare
-``in_product`` with the same search on TropValue coefficients, over
-fractional exponents the grid does not cover, two to four factors, and
-targets off the forced end coefficients.  The last tests pin the check
-against the all-tops chain that comes before the search (targets above
-that chain or off it at a hull vertex are refused at once, and no
-explicit chain member is refused) and the search's known limit: two
-four-factor members it misses.
+For integer exponents the greatest chain through a target has integer
+coefficients, between the all-tops chain and the floor of
+``polynomials._greatest_chain``, so a search over that integer grid
+(plus zero) finds a witness whenever one exists.  The oracle below
+scales rational exponents to integers first and is complete on such
+instances, at brute-force cost.  The property tests check every
+``in_product`` answer with a certificate instead: each member comes with
+the greatest intermediates, which pass the exact two-factor check link
+by link, over fractional exponents the grid does not cover, two to four
+factors, and targets off the forced end coefficients.  The last tests
+pin the check against the all-tops chain (targets above that chain or
+off it at a hull vertex are refused at once, and no explicit chain
+member is refused), the chase that the lowering's floor ends, and
+questions that the heuristic search it replaced answered wrongly or
+slowly.
 """
 
 import os
@@ -21,7 +23,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import product as iter_product
 from math import lcm
 from pathlib import Path
 
@@ -33,45 +34,65 @@ import hyperpoly
 from hyperpoly import (Polynomial, TROPICAL, TropValue, in_product, product_coefficient_sets,
                        trop_poly)
 from hyperpoly.parsing import format_polynomial, parse_polynomial
-from hyperpoly.polynomials import (_chain_member, _linear_tropical_member, _scaled,
-                                   _scaled_rows, _tropical_anchor_pool, _tropical_options)
-
-from oracles import (reference_tropical_anchor_pool, reference_tropical_chain_member,
-                     reference_tropical_options)
+from hyperpoly.polynomials import (_chain_member, _greatest_chain, _linear_tropical_member,
+                                   _scaled, _scaled_rows)
 
 L = TropValue.log
 Z = TropValue.zero()
 
 
-def _grid(lo, hi):
-    values = [Z]
-    e = Fraction(lo)
-    while e <= hi:
-        values.append(TropValue(e))
-        e += Fraction(1, 2)
-    return values
+def _row_holds(value, terms):
+    """value in the hypersum of terms, from the definition on ints with None
+    the zero: the maximum of value and terms is attained twice, or all are zero."""
+    entries = [e for e in (value, *terms) if e is not None]
+    return not entries or entries.count(max(entries)) > 1
 
 
-def grid_oracle_three_factor(r, f1, f2, f3):
-    """Exhaustive search for an intermediate w with w in f1*f2 and r in w*f3."""
-    rows = product_coefficient_sets(f1, f2)
-    exps = [c.exponent for q in (r, f1, f2, f3) for c in q.coeffs if not c.is_zero]
-    bound = max(abs(e) for e in exps) * 3 + 2
-    pools = []
-    for row in rows:
-        if not row.interval:
-            pools.append([row.top])
-        else:
-            pools.append([v for v in _grid(-bound, bound) if v <= row.top])
-    for combo in iter_product(*pools):
-        w = Polynomial(TROPICAL, combo)
-        if w.degree != len(rows) - 1:
-            continue
-        inner = product_coefficient_sets(w, f3)
-        if len(inner) == len(r.coeffs) and all(
-                inner[i].contains(r.coeffs[i]) for i in range(len(inner))):
-            return True
-    return False
+def grid_oracle(r, fs):
+    """Exhaustive search for intermediates w_1 .. w_{n-1} with w_i in
+    w_{i-1} * fs[i], w_0 = fs[0] and r in w_{n-1} * fs[n].
+
+    Exponents are scaled to integers.  Each intermediate coefficient
+    ranges over zero and the integers from the floor, the lowest exponent
+    of r and fs[0] less the number of intermediate coefficients times
+    the spread of the other factors' exponents and 0, up to the highest
+    all-tops coefficient.  The search runs coefficient by coefficient and
+    drops a partial chain at its first failing row."""
+    polys = (r, *fs)
+    scale = lcm(*(c.exponent.denominator for p in polys for c in p.coeffs if not c.is_zero))
+    target, *qs = [[None if c.is_zero else int(c.exponent * scale) for c in p.coeffs]
+                   for p in polys]
+
+    def terms(w, q, i):
+        return [w[k] + q[i - k] for k in range(len(w)) if 0 <= i - k < len(q)
+                and w[k] is not None and q[i - k] is not None]
+
+    tops = [qs[0]]
+    for q in qs[1:-1]:
+        tops.append([max(terms(tops[-1], q, i), default=None)
+                     for i in range(len(tops[-1]) + len(q) - 1)])
+    spread = [0, *(e for q in qs[1:] for e in q if e is not None)]
+    lo = (min(e for e in target + qs[0] if e is not None)
+          - sum(map(len, tops[1:])) * (max(spread) - min(spread)))
+    hi = max((e for w in tops[1:] for e in w if e is not None), default=lo)
+    grid = [None, *range(lo, hi + 1)]
+
+    def extend(chain, w):
+        """Whether the partial intermediate w after ``chain`` completes."""
+        idx, below = len(chain), chain[-1]
+        size, last = len(below) + len(qs[idx]) - 1, idx == len(qs) - 2
+        if len(w) == size:  # the last intermediate still owes the target rows above it
+            return (all(_row_holds(target[j], terms(w, qs[-1], j))
+                        for j in range(size, len(target))) if last else extend(chain + [w], []))
+        i = len(w)
+        return any(extend(chain, w + [x]) for x in grid
+                   if _row_holds(x, terms(below, qs[idx], i))
+                   and (not last or _row_holds(target[i], terms(w + [x], qs[-1], i))))
+
+    if len(qs) == 2:
+        return len(target) == len(qs[0]) + len(qs[1]) - 1 and all(
+            _row_holds(c, terms(qs[0], qs[1], i)) for i, c in enumerate(target))
+    return extend([qs[0]], [])
 
 
 def test_interior_intermediate_found():
@@ -81,11 +102,11 @@ def test_interior_intermediate_found():
     g = trop_poly([2, 0])
     r = trop_poly([2, -1, 2, 0])  # T^3 + 4T^2 + (1/2)T + 4 multiplicatively
     assert in_product(r, [f, f, g])
-    assert grid_oracle_three_factor(r, f, f, g)
+    assert grid_oracle(r, [f, f, g])
     # a linear coefficient above everything the cross terms can reach fails
     bad = trop_poly([2, 3, 2, 0])
     assert not in_product(bad, [f, f, g])
-    assert not grid_oracle_three_factor(bad, f, f, g)
+    assert not grid_oracle(bad, [f, f, g])
 
 
 def test_zero_intermediate_coefficient():
@@ -94,7 +115,7 @@ def test_zero_intermediate_coefficient():
     f = trop_poly([0, 0])
     r = Polynomial(TROPICAL, (L(4), L(4), Z, L(0)))  # wants w = T^2 + zero*T + 1
     g = trop_poly([4, 0])
-    assert in_product(r, [f, f, g]) == grid_oracle_three_factor(r, f, f, g)
+    assert in_product(r, [f, f, g]) == grid_oracle(r, [f, f, g])
 
 
 def test_chain_search_matches_grid_oracle_randomized():
@@ -131,7 +152,7 @@ def test_chain_search_matches_grid_oracle_randomized():
             if r.degree != total:
                 continue
             got = in_product(r, factors)
-            want = grid_oracle_three_factor(r, *factors)
+            want = grid_oracle(r, factors)
             assert got == want, (str(r), [str(q) for q in factors])
             agree += 1
             members += want
@@ -183,7 +204,8 @@ def test_target_below_the_all_tops_chain_is_refused_at_once():
     assert time.perf_counter() - start < 0.1
 
 
-# (target, factors, witness intermediates): members the search misses
+# (target, factors, witness intermediates): members that the heuristic
+# tie-candidate search, which the lowering replaced, missed
 MISSED_MEMBERS = [
     ("-4:T^5+-2:T^4+-4:T^3+1:T+2", "-1:T^2+-1:T+1;-1:T+0;-1:T+0;-1:T+1",
      "-2:T^3+-1:T^2+0:T+1;-3:T^4+-4:T^3+-2:T^2+0:T+1"),
@@ -203,8 +225,6 @@ def test_missed_member_witness_checks_out_link_by_link(target, factors, chain):
         assert in_product(product, [left, q]), (str(product), str(left), str(q))
 
 
-@pytest.mark.xfail(strict=True, reason="the tie candidates of the tropical chain "
-                                       "search do not reach this witness")
 @pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
 def test_missed_member_is_found(target, factors, chain):
     assert in_product(parse_polynomial(target, TROPICAL), _parse_all(factors))
@@ -302,27 +322,32 @@ def test_no_chain_member_fails_the_hull_check(question):
     assert _passes_the_hull_check(r, fs), (str(r), [str(q) for q in fs])
 
 
+def greatest_intermediates(r, fs):
+    """``_greatest_chain`` on the scaled coefficients of r and fs, its
+    intermediates decoded to polynomials, or None."""
+    scale, target, *coeffs = _scaled(r.coeffs, *(q.coeffs for q in fs))
+    tops = [coeffs[0]]
+    for q in coeffs[1:-1]:
+        tops.append(tuple(top for top, _ in _scaled_rows(tops[-1], q)))
+    chain = _greatest_chain(target, coeffs, tops[1:])
+    return chain and [trop_poly([None if e is None else Fraction(e, scale) for e in w])
+                      for w in chain]
+
+
+def assert_links_check_out(r, fs, chain):
+    for left, q, product in zip([fs[0], *chain], fs[1:], [*chain, r]):
+        assert in_product(product, [left, q]), (str(product), str(left), str(q))
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(chain_question())
-def test_scaled_search_matches_the_tropvalue_reference(question):
+def test_every_member_comes_with_greatest_intermediates(question):
     r, fs = question
-    assert in_product(r, fs) == reference_tropical_chain_member(r, fs), (
-        str(r), [str(q) for q in fs])
-    if len(fs) == 2:
-        return  # the last link is the first step: no candidates offered
-    # the first step offers the same candidates in the same order, scaled,
-    # except that a row {zero} offers zero once
-    scale = lcm(*(c.exponent.denominator for p in (r, *fs) for c in p.coeffs if not c.is_zero))
-    want = [[None if v.is_zero else v.exponent * scale for v in cands]
-            for cands in reference_tropical_options(
-                product_coefficient_sets(fs[0], fs[1]),
-                reference_tropical_anchor_pool(r, fs)[1], fs[2])]
-    want = [[None] if cands == [None, None] else cands for cands in want]
-    _, target, *coeffs = _scaled(r.coeffs, *(q.coeffs for q in fs))
-    got = _tropical_options(list(_scaled_rows(coeffs[0], coeffs[1])),
-                            _tropical_anchor_pool(target, coeffs)[1], coeffs[2])
-    assert [list(cands) for cands in got] == want
+    chain = greatest_intermediates(r, fs)
+    assert in_product(r, fs) == (chain is not None), (str(r), [str(q) for q in fs])
+    if chain is not None:
+        assert_links_check_out(r, fs, chain)
 
 
 # 2^a - 1 and 2^b - 1 are coprime for coprime a and b: each of these has
@@ -348,18 +373,23 @@ def _hostile_question(seed):
     return rng.choice((tops, Polynomial(TROPICAL, tuple(cs)))), fs
 
 
+# the verdicts on _hostile_question(0 .. 29) of the heuristic search that
+# the lowering replaced, and of its TropValue reference
+HOSTILE_VERDICTS = [False, False, False, False, True, True, True, True, True, True,
+                    False, False, False, False, False, True, False, True, True, False,
+                    True, True, False, False, True, True, False, False, False, True]
+
+
 def test_hostile_denominators_match_the_reference():
-    members = 0
-    for seed in range(30):
+    for seed, want in enumerate(HOSTILE_VERDICTS):
         r, fs = _hostile_question(seed)
         scale = lcm(*(c.exponent.denominator for p in (r, *fs) for c in p.coeffs
                       if not c.is_zero))
         assert len(str(scale)) > 700
-        want = reference_tropical_chain_member(r, fs)
         assert _chain_member(TROPICAL, r.coeffs, [q.coeffs for q in fs]) == want, seed
         assert in_product(r, fs) == want, seed
-        members += want
-    assert 0 < members < 30
+        if want:
+            assert_links_check_out(r, fs, greatest_intermediates(r, fs))
 
 
 def test_check_product_with_hostile_denominators():
@@ -372,3 +402,75 @@ def test_check_product_with_hostile_denominators():
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"{str(in_product(r, fs)).lower()}\n"
     assert out.stderr == ""
+
+
+def _random_factor(rng, degree):
+    return trop_poly([None if rng.random() < 0.3 else rng.randint(-1, 1) for _ in range(degree)]
+                     + [rng.randint(-1, 1)])
+
+
+def test_four_factor_chains_match_the_grid_oracle():
+    # explicit chain ends with tied rows lowered or zeroed, and the same
+    # ends with one middle coefficient moved, against the exhaustive grid
+    rng = random.Random(24)
+    answers = set()
+    for _ in range(60):
+        fs = [_random_factor(rng, degree) for degree in rng.sample([2, 1, 1, 1], 4)]
+        current = fs[0]
+        for q in fs[1:]:
+            current = Polynomial(TROPICAL, tuple(
+                row.top if not row.interval or row.top.is_zero else
+                rng.choice((row.top, TROPICAL.zero, TropValue(row.top.exponent - 1)))
+                for row in product_coefficient_sets(current, q)))
+        cs = list(current.coeffs)
+        if rng.random() < 0.5:
+            i = rng.randrange(1, len(cs) - 1)
+            cs[i] = rng.choice((TROPICAL.zero, L(rng.randint(-2, 3))))
+        r = Polynomial(TROPICAL, tuple(cs))
+        want = grid_oracle(r, fs)
+        assert in_product(r, fs) == want, (str(r), [str(q) for q in fs])
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_quadratic_factor_differs_from_its_roots():
+    # a quadratic factor is not the product of its linear factors: the
+    # hull check passes both, and only the latter chain reaches the target
+    r = parse_polynomial("0:T^4+-2:T^3+0:T^2+-4:T+-4", TROPICAL)
+    quadratic = _parse_all("0:T^2+-2:T+-4;0:T+0;0:T+0")
+    roots = _parse_all("0:T+-2;0:T+-2;0:T+0;0:T+0")
+    assert not in_product(r, quadratic) and not grid_oracle(r, quadratic)
+    assert in_product(r, roots) and grid_oracle(r, roots)
+
+
+def test_degree_twelve_question_is_refused_quickly():
+    # the heuristic search answered this after a minute of backtracking
+    r = parse_polynomial("2:T^12+2:T^11+3:T^10+3:T^9+3:T^8+3:T^7+3:T^6+3:T^5+3:T^4"
+                         "+2:T^3+1:T^2+-1:T+-1", TROPICAL)
+    fs = _parse_all("1:T^2+1:T+0;2:T^2+1:T+2;-1:T^2+-1:T+-2;-1:T^2+-2:T+0;"
+                    "-1:T^2+-1:T+-1;2:T^2+-2:T+0")
+    start = time.perf_counter()
+    assert not in_product(r, fs)
+    assert time.perf_counter() - start < 1.0
+
+
+# w = (0, w1, w2, 0) in (1 + T + T^2)(1 + T): rows 2 and 6 of w * q want
+# w2 - w1 = 1 and w2 - w1 = 0 at the target's zeros, so lowering chases
+# w1 and w2 down together until the floor makes them zero; with the
+# middle term of q at -depth instead, the chase ends at a tie with it
+CHASE = (trop_poly([0, 1, None, 0, 1, 0, None, 0, 0]), [trop_poly([0, 0, 0]), trop_poly([0, 0])])
+
+
+@pytest.mark.parametrize("depth, middle", [(None, [None, None]), (3, [-4, -4]),
+                                           (10**9, [-10**9 - 1, -10**9 - 1])])
+def test_chase_ends_at_the_floor_or_a_distant_tie(depth, middle):
+    r, fs = CHASE
+    fs = fs + [trop_poly([0, 1, None if depth is None else -depth, None, 0, 0])]
+    start = time.perf_counter()
+    chain = greatest_intermediates(r, fs)
+    assert time.perf_counter() - start < 0.5
+    assert chain == [trop_poly([0, *middle, 0])]
+    assert in_product(r, fs)
+    assert_links_check_out(r, fs, chain)
+    if depth is None or depth < 10:
+        assert grid_oracle(r, fs)

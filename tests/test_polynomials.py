@@ -19,6 +19,7 @@ from hyperpoly import (
     ZeroOperandError,
     associated,
     divide,
+    divide_sign,
     divides_linearly,
     enumerate_product,
     in_product,
@@ -35,8 +36,8 @@ from hyperpoly import (
 )
 from hyperpoly.errors import DegreeBoundExceeded
 from oracles import (raw_sign_product_rows, raw_sign_product_members, raw_sign_roots,
-                     reference_divides_linearly, reference_linear_tropical_member,
-                     reference_tropical_chain_member)
+                     reference_divides_linearly, reference_linear_tropical_member)
+from test_chain_search import greatest_intermediates
 
 L = TropValue.log
 
@@ -188,13 +189,19 @@ def test_division_entry_points_refuse_values_outside_the_field():
     p, q = trop_poly([1, 0, 1, 0]), trop_poly([0, -1, 0])
     calls = {"1": lambda: is_root(p, 1), "Fraction(1, 1)": lambda: divide(p, Fraction(1)),
              "'1'": lambda: search_quotients(p, "1"), "0": lambda: is_quotient(p, 0, q),
-             "'" + "9" * 19: lambda: is_root(p, "9" * 50)}  # cut to 20 characters
+             repr("9" * 20): lambda: is_root(p, "9" * 50),  # cut to 20 characters
+             "Fraction(1" + "0" * 10: lambda: divide(p, Fraction(10**5000, 3))}
     for shown, call in calls.items():
         with pytest.raises(ValueError, match=re.escape(
                 f"tropical values are TropValue instances, got {shown}") + "$"):
             call()
-    with pytest.raises(ValueError, match="^sign values are -1, 0 or 1, got 2$"):
-        divides_linearly(sign_poly([-1, 0, 1]), 2, sign_poly([1, 1]))
+    s = sign_poly([1, 1])
+    calls = {"2": lambda: divides_linearly(sign_poly([-1, 0, 1]), 2, s),
+             "1" * 20: lambda: is_root(s, int("1" * 30)),
+             "1" + "0" * 19: lambda: divide_sign(s, 10**5000)}  # no 5,001-digit string
+    for shown, call in calls.items():
+        with pytest.raises(ValueError, match=f"^sign values are -1, 0 or 1, got {shown}$"):
+            call()
 
 
 def test_associated_and_monic():
@@ -401,7 +408,8 @@ def test_two_factor_membership_is_the_row_check():
 
 def test_linear_tropical_member_agrees_with_chain_search():
     # in_product decides linear factors by the all-tops hull check alone;
-    # the closed form on sorted roots and the plain search must agree
+    # the closed form on sorted roots and the greatest-chain lowering,
+    # which does not know the factors are linear, must agree
     rng = random.Random(5)
 
     def exponent():
@@ -425,7 +433,7 @@ def test_linear_tropical_member_agrees_with_chain_search():
             r = Polynomial(TROPICAL, tuple(coeffs))
             want = reference_linear_tropical_member(r, factors)
             assert in_product(r, factors) == want, (str(r), [str(q) for q in factors])
-            assert reference_tropical_chain_member(r, factors) == want
+            assert (greatest_intermediates(r, factors) is not None) == want
             members += want
     assert 100 < members < 380
 
