@@ -13,26 +13,28 @@ The product kernels, the membership search and the division checks
 read plain coefficient tuples; a ``Polynomial`` is built only at the API
 edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
-is not associative, so the nesting matters).  Two factors are decided by
-the row check alone, each target coefficient against its row's cross
-terms, which is the definition of membership.  Three or more over the
-sign field are one depth-first search over the chain's intermediates,
-ending in that row check: the end coefficients of a member are forced,
-the products of the factors' ends, and are checked on the ints first,
-and a step tries every member of the two-factor product, so the search
-is exhaustive.  Tropical membership runs on exponents scaled by the lcm
-of their denominators: the scaling turns every exponent into an int and
-keeps order and sums, so the code adds and compares plain ints and
-decides what it would on Fractions.  ``_scaled``, which encodes tuples
-of ``TropValue``s, is the one encoder for this, shared with the Newton
-polygon, tropical division and the quotient search in ``tropical``, as
-``_lower_hull`` is the one hull routine.  A tropical target of three or
-more factors failing the all-tops check ``_linear_tropical_member`` is
-refused at once; no member fails it, and it decides linear factors.
-Any other chain is decided exactly by ``_greatest_chain``, which lowers
-bounds from the all-tops chain to the greatest chain through the
-target, or proves there is none.  So tropical membership multiplies no
-``TropValue``, and each of its answers is a proof.
+is not associative, so the nesting matters).  Over the sign field two
+factors are decided by the row check alone, each target coefficient
+against its row's cross terms, which is the definition of membership;
+three or more are one depth-first search over the chain's
+intermediates, ending in that row check: the end coefficients of a
+member are forced, the products of the factors' ends, and are checked
+on the ints first, and a step tries every member of the two-factor
+product, so the search is exhaustive.  Tropical membership runs on
+exponents scaled by the lcm of their denominators: the scaling turns
+every exponent into an int and keeps order and sums, so the code adds
+and compares plain ints and decides what it would on Fractions.
+``_scaled``, which encodes tuples of ``TropValue``s, is the one encoder
+for this, shared with the Newton polygon, tropical division and the
+quotient search in ``tropical``, as ``_lower_hull`` is the one hull
+routine.  The input's shape picks one of two tropical deciders.  A
+product of linear factors is decided by the paper's closed form, the
+hull check ``_linear_tropical_member`` against the max-plus product of
+the factors.  Any other product, two factors included, is decided by
+``_greatest_chain``, which lowers bounds from the all-tops chain to the
+greatest chain through the target, or proves there is none.  So
+tropical membership multiplies no ``TropValue``, and each of its
+answers is a proof.
 
 Each field has one root test, on its own encoding, shared by ``is_root``
 and both divisions: ``_tropical_root`` on ``_scaled`` exponents, which
@@ -40,9 +42,9 @@ also gives a division's split, and ``_sign_root`` on the ints.
 
 A quotient q of p by T - a is a q with p in (T - a) * q, so
 ``divides_linearly`` checks a given q as membership in that two-factor
-product, which ``_chain_member`` decides by its row check alone, on the
-tuples (-a, 1) and q's coefficients.  Every division entry point refuses
-a root outside its field with a ``ValueError``.
+product, which ``_chain_member`` decides on the tuples (-a, 1) and q's
+coefficients.  Every division entry point refuses a root outside its
+field with a ``ValueError``.
 Listing the quotients reads the product as a chain of relations,
 relation i linking only d_{i-1} and d_i, which ``_linear_quotients``
 walks for both fields.  The walk knows no field: each caller hands it
@@ -56,7 +58,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations
 from itertools import product as iter_product
 
 from .errors import DegreeBoundExceeded, ZeroOperandError, _quoted
@@ -321,29 +324,23 @@ def _chain_member(field, target: tuple, coeffs) -> bool:
     """Whether the target is in the left-nested product of the factors
     ``coeffs``, nonzero coefficient tuples over ``field`` of matching degrees.
 
-    Two factors: the row check alone, each target coefficient against its
-    row's cross terms, which is the definition of membership.  Three or
-    more over the tropical field, on ``_scaled`` exponents: the target
-    must pass ``_linear_tropical_member`` against the all-tops chain,
-    which alone decides linear factors, and ``_greatest_chain`` decides
-    the rest.  Three or more over the sign field: the target must have
-    the forced end coefficients, the products of the factors' ends, and a
+    Over the tropical field, on ``_scaled`` exponents, the factors' shape
+    picks the decider: ``_linear_tropical_member`` against the max-plus
+    product of the factors when every factor is linear, the paper's
+    closed form, and ``_greatest_chain`` for any other product, two
+    factors included.  Over the sign field two factors are the row
+    check alone, each target coefficient against its row's cross terms,
+    which is the definition of membership.  Three or more must have the
+    forced end coefficients, the products of the factors' ends, and a
     depth-first search over the intermediates tries every member of each
     two-factor product."""
-    last = len(coeffs) - 1
     if field is TROPICAL:
         _, target, *coeffs = _scaled(target, *coeffs)
-        if last == 1:
-            return len(target) == len(coeffs[0]) + len(coeffs[1]) - 1 and all(
-                _at_most(c, top) if tied else c == top
-                for c, (top, tied) in zip(target, _scaled_rows(*coeffs)))
-        tops = [coeffs[0]]
-        for q in coeffs[1:]:
-            tops.append(tuple(top for top, _ in _scaled_rows(tops[-1], q)))
-        if not _linear_tropical_member(target, tops[-1]):
-            return False
-        return (all(len(d) == 2 for d in coeffs)
-                or _greatest_chain(target, coeffs, tops[1:-1]) is not None)
+        if all(len(d) == 2 for d in coeffs):
+            return _linear_tropical_member(target, reduce(_max_plus, coeffs))
+        return _greatest_chain(target, coeffs) is not None
+
+    last = len(coeffs) - 1
 
     def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with the target
         terms = [[] for _ in target]  # the cross terms of each row
@@ -373,23 +370,29 @@ def _chain_member(field, target: tuple, coeffs) -> bool:
     return step(coeffs[0], 1)
 
 
-def _greatest_chain(target: tuple, coeffs, tops) -> list | None:
+def _greatest_chain(target: tuple, coeffs) -> list | None:
     """The greatest intermediates w_1 .. w_{n-1} of a tropical chain from
     w_0 = coeffs[0] through w_i in w_{i-1} * coeffs[i] to w_n = target, or
     None when there is no such chain.  Everything is ``_scaled``, None the
-    zero; ``tops`` are the all-tops intermediates.
+    zero.
 
     A row of a link holds when the maximum of its entries, the value
     w_i[j] and the terms w_{i-1}[k] + coeffs[i][j - k], is attained twice
-    or every entry is the zero.  Bounds start at ``tops`` and only come
-    down, by two rules per row, where ``first`` and ``second`` are the
-    largest and the runner-up term bound (equal for a tie):
+    or every entry is the zero.  Bounds start at the all-tops
+    intermediates, the max-plus products of the leading factors, and
+    only come down, by two rules per row, where ``first`` and ``second``
+    are the largest and the runner-up term bound (equal for a tie):
 
     1. a value bound above ``first`` comes down to ``first``; at the target
        that refutes membership;
     2. a term that alone is largest and above the value bound comes down to
        the larger of the value bound and ``second``; in the first link,
        whose terms are fixed, that refutes membership.
+
+    Two factors have no intermediates, so the rules read the row check:
+    rule 1 at the target says c <= top, and rule 2 in the first link says
+    c = top unless the row is tied.  One sweep decides, and stops at the
+    first failing row.
 
     Why the answer is exact.  Every chain lies below the all-tops chain,
     and each rule lowers a bound only past values that no chain below the
@@ -415,11 +418,13 @@ def _greatest_chain(target: tuple, coeffs, tops) -> list | None:
     with the exponents, so ``_replay_windows`` jumps over repeated sweeps.
     """
     last = len(coeffs) - 1
-    levels = [coeffs[0], *map(list, tops), target]
-    spread = [0, *(e for q in coeffs[1:] for e in q if e is not None)]
-    size = sum(map(len, tops))
-    floor = (min(e for e in target + coeffs[0] if e is not None)
-             - size * (max(spread) - min(spread)))
+    levels = [*map(list, accumulate(coeffs[:last], _max_plus)), target]
+    size = sum(map(len, levels[1:last]))
+    floor = None  # two factors move no bound: each rule refutes membership at once
+    if last > 1:
+        spread = [0, *(e for q in coeffs[1:] for e in q if e is not None)]
+        floor = (min(e for e in target + coeffs[0] if e is not None)
+                 - size * (max(spread) - min(spread)))
     history = []  # the intermediates before each of the latest sweeps
     while True:
         history.append([tuple(w) for w in levels[1:last]])
@@ -566,28 +571,19 @@ def _at_most(c, top) -> bool:
     return c is None or (top is not None and c <= top)
 
 
-def _scaled_rows(a: tuple, b: tuple):
-    """The rows of the tropical product of scaled coefficient tuples a and b,
-    generated in index order so that a failing row check stops early.
-
-    Row i is (top, tied): the maximum of the cross terms (None for the
-    zero), and whether the row is the interval [0, top] rather than the
-    singleton {top}, that is, whether the maximum is attained twice or
-    every term is zero.
-    """
+def _max_plus(a: tuple, b: tuple) -> tuple:
+    """The max-plus product of scaled coefficient tuples a and b, None the
+    zero: the top of each row of the tropical product a * b."""
     n, m = len(a) - 1, len(b) - 1
+    tops = []
     for i in range(n + m + 1):
-        top, tied = None, True
+        top = None
         for k in range(i - m if i > m else 0, (i if i < n else n) + 1):
             x, y = a[k], b[i - k]
-            if x is None or y is None:
-                continue
-            s = x + y
-            if top is None or s > top:
-                top, tied = s, False
-            elif s == top:
-                tied = True
-        yield top, tied
+            if x is not None and y is not None and (top is None or x + y > top):
+                top = x + y
+        tops.append(top)
+    return tuple(tops)
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,7 @@ def _maximal_quotient(cs: tuple, e, a: TropValue) -> list:
 
 def is_quotient(p: Polynomial, a: TropValue, q: Polynomial) -> bool:
     """Exact check of p in (T + a) * q: ``divides_linearly``, membership
-    in the two-factor product decided by its row check on scaled integer
-    exponents."""
+    in the two-factor product decided on scaled integer exponents."""
     return divides_linearly(p, a, q)
 
 
@@ -214,12 +213,13 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     ``_scaled`` call encodes p, a and the deltas, so the scale takes in
     the deltas' denominators too; the maximal quotient comes as ints
     from ``divide``'s core, and each distinct exponent of the answers is
-    decoded once.  For exploring the quotient set at desk scale, not for
-    characterizing it.
+    decoded once.  The deltas are exact rationals, as ``TropValue.log``
+    takes them: a float is refused with its ``ValueError``.  For exploring
+    the quotient set at desk scale, not for characterizing it.
     """
     _check_trop_value(a)
     _require_positive_degree(p)
-    scale, cs, (e, *ds) = _scaled(p.coeffs, (a, *(TropValue(Fraction(d)) for d in deltas)))
+    scale, cs, (e, *ds) = _scaled(p.coeffs, (a, *map(TropValue.log, deltas)))
     options = []
     for t in _maximal_quotient(cs, e, a):
         # top_i, then the other values position i may take, each once

@@ -16,17 +16,22 @@ those against the raw enumerations here.  The tropical quotient search
 oracle likewise perturbs ``divide``'s answer, and keeps what
 ``reference_divides_linearly`` accepts: the coefficient relations of
 p in (T - a) * q checked one by one, where the library decides that
-membership by its two-factor row check.  The tests require the same
-verdict from both.  The tropical quotient search reference is the
-quotient walk on ``TropValue`` coefficients, relations tested with
-``TROPICAL.contains``, where the library walks integer-scaled exponents;
-the tests require the same list from both.  The closed form for linear
-factors, suffix products of the sorted roots on TropValue coefficients,
-is the reference for the all-tops hull check that decides them.  The
-Newton polygon reference is the monotone-chain hull on the Fraction
-heights themselves, where the library builds it on integer-scaled
-exponents; the tests require the same vertices, slopes and zero
-multiplicity from both.  The two division references reach the same
+membership as a two-factor product: by the hull check for a linear q,
+and otherwise by the lowering, whose rules on two factors are the row
+check.  The tests require the same verdict from both.  The tropical
+quotient search reference is the quotient walk on ``TropValue``
+coefficients, relations tested with ``TROPICAL.contains``, where the
+library walks integer-scaled exponents; the tests require the same list
+from both.  The closed form for linear factors, suffix products of the
+sorted roots on TropValue coefficients, is the reference for the
+all-tops hull check that decides them.  The plain lowering is
+``polynomials._greatest_chain``'s two row rules and floor written out
+again, sweep after sweep, without the replay that jumps over repeated
+sweeps; the tests require the same greatest chain from both where the
+replay jumps.  The Newton polygon reference is the monotone-chain hull
+on the Fraction heights themselves, where the library builds it on
+integer-scaled exponents; the tests require the same vertices, slopes
+and zero multiplicity from both.  The two division references reach the same
 quotients another way: tropical division by the sorted root list
 expanded from that reference polygon, and sign division by the root
 test of ``raw_sign_roots`` (the hypersum folded over the literal table)
@@ -369,6 +374,65 @@ def reference_linear_tropical_member(r, fs) -> bool:
         elif not c[i] <= suffix:
             return False
     return True
+
+
+def plain_lowering(target, coeffs):
+    """``polynomials._greatest_chain`` without its replay: the greatest
+    intermediates of a tropical chain from coeffs[0] through each factor
+    to target, or None, on scaled int exponents with None the zero.
+
+    The bounds start at the all-tops intermediates and sweep row by row,
+    link by link, until nothing moves.  In a row whose largest term bound
+    is ``first`` and runner-up ``second``, a value bound above ``first``
+    comes down to it (at the target: no chain), and a term that alone is
+    largest and above the value bound comes down to the larger of the two
+    (in the first link: no chain).  A bound below the floor, the lowest
+    target or first-factor exponent less the number of intermediate
+    coefficients times the spread of the other exponents and 0, becomes
+    the zero.  Every sweep walks the whole descent one step at a time, so
+    keep the exponents small."""
+    last = len(coeffs) - 1
+
+    def cross_terms(w, q, i):
+        return [(w[k] + q[i - k], k) for k in range(len(w)) if 0 <= i - k < len(q)
+                and w[k] is not None and q[i - k] is not None]
+
+    levels = [list(coeffs[0])]
+    for q in coeffs[1:last]:
+        w = levels[-1]
+        levels.append([max((s for s, _ in cross_terms(w, q, i)), default=None)
+                       for i in range(len(w) + len(q) - 1)])
+    levels.append(list(target))
+    size = sum(len(w) for w in levels[1:last])
+    exponents = [0] + [e for q in coeffs[1:] for e in q if e is not None]
+    floor = (min(e for e in list(target) + list(coeffs[0]) if e is not None)
+             - size * (max(exponents) - min(exponents)))
+
+    def clipped(v):
+        return None if v is None or v < floor else v
+
+    moved = True
+    while moved:
+        moved = False
+        for idx in range(1, last + 1):
+            below, q, w = levels[idx - 1], coeffs[idx], levels[idx]
+            for i in range(len(w)):
+                terms = sorted(cross_terms(below, q, i), reverse=True)
+                first = terms[0][0] if terms else None
+                second = terms[1][0] if len(terms) > 1 else None
+                if w[i] is not None and (first is None or w[i] > first):
+                    if idx == last:
+                        return None
+                    w[i] = clipped(first)
+                    moved = True
+                if first is not None and (w[i] is None or first > w[i]) and first != second:
+                    if idx == 1:
+                        return None
+                    k = terms[0][1]
+                    v = w[i] if second is None or w[i] is not None and w[i] > second else second
+                    below[k] = clipped(None if v is None else v - q[i - k])
+                    moved = True
+    return [tuple(w) for w in levels[1:last]]
 
 
 def _reference_cross(o, a, b):

@@ -7,14 +7,16 @@ coefficients, between the all-tops chain and the floor of
 scales rational exponents to integers first and is complete on such
 instances, at brute-force cost.  The property tests check every
 ``in_product`` answer with a certificate instead: each member comes with
-the greatest intermediates, which pass the exact two-factor check link
-by link, over fractional exponents the grid does not cover, two to four
-factors, and targets off the forced end coefficients.  The last tests
-pin the check against the all-tops chain (targets above that chain or
-off it at a hull vertex are refused at once, and no explicit chain
-member is refused), the chase that the lowering's floor ends, and
-questions that the heuristic search it replaced answered wrongly or
-slowly.
+the greatest intermediates, whose links are checked against the rows of
+``product_coefficient_sets``, with none of the code that decides
+membership, over fractional exponents the grid does not cover, two to
+four factors, and targets off the forced end coefficients.  Further
+tests pin the all-tops hull check, which decides linear factors (no
+explicit chain member of any factors fails it), the lowering on targets
+above that chain or off it at a hull vertex, the chase that the
+lowering's floor ends, the replay that jumps over repeated sweeps
+against the plain lowering of ``oracles``, and questions that the
+heuristic search it replaced answered wrongly or slowly.
 """
 
 import os
@@ -31,11 +33,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hyperpoly
-from hyperpoly import (Polynomial, TROPICAL, TropValue, in_product, product_coefficient_sets,
-                       trop_poly)
+from hyperpoly import (Polynomial, TROPICAL, TropValue, in_product, polynomials,
+                       product_coefficient_sets, trop_poly)
 from hyperpoly.parsing import format_polynomial, parse_polynomial
-from hyperpoly.polynomials import (_chain_member, _greatest_chain, _linear_tropical_member,
-                                   _scaled, _scaled_rows)
+from hyperpoly.polynomials import _chain_member, _greatest_chain, _linear_tropical_member, _scaled
+from oracles import plain_lowering
 
 L = TropValue.log
 Z = TropValue.zero()
@@ -183,7 +185,8 @@ def test_four_factor_linear_consistency():
 
 def test_target_above_the_all_tops_chain_is_refused_at_once():
     # the max-plus product of (1 + T + T^2)^8 with its middle coefficient
-    # raised: the search used to backtrack about 10x longer per factor
+    # raised: the all-tops chain holds every row, so the lowering's first
+    # sweep reaches the target and refutes it by rule 1 at that coefficient
     fs = [trop_poly([0, 0, 0])] * 8
     raised = [0] * 17
     raised[8] = 1
@@ -195,7 +198,8 @@ def test_target_above_the_all_tops_chain_is_refused_at_once():
 
 def test_target_below_the_all_tops_chain_is_refused_at_once():
     # the README's example: it lies below the all-tops chain but misses
-    # its value at a hull vertex, where the search backtracked for seconds
+    # its value at a hull vertex, whose cross term strictly beats its row,
+    # so rule 2 lowers that term link by link down to the first factor
     r = parse_polynomial("0:T^10+-2:T^9+1:T^8+-1:T^7+5/3:T^6+-1:T^5+2:T^4+-1:T^3"
                          "+2:T^2+-1:T+2", TROPICAL)
     fs = _parse_all("0:T^2+-3:T+0;0:T^2+-2:T+1;0:T^2+-3:T+0;0:T^2+-2:T+1;0:T^2+-3:T+0")
@@ -218,11 +222,21 @@ def _parse_all(texts):
     return [parse_polynomial(t, TROPICAL) for t in texts.split(";")]
 
 
+def assert_links_check_out(r, fs, chain):
+    """Each link w_i in w_{i-1} * fs[i] of the chain fs[0], *chain, r,
+    checked on ``TropValue``s against the rows of ``product_coefficient_sets``,
+    with none of the code that decides membership."""
+    for left, q, product in zip([fs[0], *chain], fs[1:], [*chain, r]):
+        rows = product_coefficient_sets(left, q)
+        assert len(rows) == len(product.coeffs) and all(
+            row.contains(c) for row, c in zip(rows, product.coeffs)), (
+            str(product), str(left), str(q))
+
+
 @pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
 def test_missed_member_witness_checks_out_link_by_link(target, factors, chain):
-    r, fs, ws = parse_polynomial(target, TROPICAL), _parse_all(factors), _parse_all(chain)
-    for left, q, product in zip([fs[0]] + ws, fs[1:], ws + [r]):
-        assert in_product(product, [left, q]), (str(product), str(left), str(q))
+    assert_links_check_out(parse_polynomial(target, TROPICAL), _parse_all(factors),
+                           _parse_all(chain))
 
 
 @pytest.mark.parametrize("target, factors, chain", MISSED_MEMBERS, ids=["case1", "case2"])
@@ -326,17 +340,9 @@ def greatest_intermediates(r, fs):
     """``_greatest_chain`` on the scaled coefficients of r and fs, its
     intermediates decoded to polynomials, or None."""
     scale, target, *coeffs = _scaled(r.coeffs, *(q.coeffs for q in fs))
-    tops = [coeffs[0]]
-    for q in coeffs[1:-1]:
-        tops.append(tuple(top for top, _ in _scaled_rows(tops[-1], q)))
-    chain = _greatest_chain(target, coeffs, tops[1:])
+    chain = _greatest_chain(target, coeffs)
     return chain and [trop_poly([None if e is None else Fraction(e, scale) for e in w])
                       for w in chain]
-
-
-def assert_links_check_out(r, fs, chain):
-    for left, q, product in zip([fs[0], *chain], fs[1:], [*chain, r]):
-        assert in_product(product, [left, q]), (str(product), str(left), str(q))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
@@ -474,3 +480,59 @@ def test_chase_ends_at_the_floor_or_a_distant_tie(depth, middle):
     assert_links_check_out(r, fs, chain)
     if depth is None or depth < 10:
         assert grid_oracle(r, fs)
+
+
+def _count_jumps(monkeypatch):
+    """Wrap ``_replay_windows`` so that each jump it makes is recorded."""
+    jumps, replay = [], polynomials._replay_windows
+
+    def counted(*args):
+        jumped = replay(*args)
+        jumps.append(jumped)
+        return jumped
+
+    monkeypatch.setattr(polynomials, "_replay_windows", counted)
+    return jumps
+
+
+def test_replay_lands_where_the_plain_lowering_does(monkeypatch):
+    # a seeded walk from CHASE (on scaled ints, with a tie at -12) changes
+    # one or two exponents of a chain whose replay jumps, leads kept, and
+    # keeps each new chain that jumps too; the plain lowering, which walks
+    # every sweep, must land where each jump landed
+    jumps = _count_jumps(monkeypatch)
+    rng = random.Random(25)
+    pool = [((0, 1, None, 0, 1, 0, None, 0, 0), ((0, 0, 0), (0, 0), (0, 1, -12, None, 0, 0)))]
+    seen = set()
+    for _ in range(6000):
+        target, fs = rng.choice(pool)
+        levels = [list(target), *map(list, fs)]
+        for _ in range(rng.randint(1, 2)):
+            w = rng.choice(levels)
+            i = rng.randrange(len(w) - 1)
+            w[i] = (rng.choice((None, 0, 1, -1, 2, -12)) if w[i] is None
+                    else rng.choice((None, w[i] - 1, w[i] + 1, -12)))
+        question = (tuple(levels[0]), tuple(map(tuple, levels[1:])))
+        if question in seen:
+            continue
+        seen.add(question)
+        jumps.clear()
+        chain = _greatest_chain(*question)
+        if any(jumps):
+            assert chain == plain_lowering(*question), question
+            pool.append(question)
+    assert len(pool) > 50
+
+
+@pytest.mark.parametrize("depth", [12, 14, 10**9])
+def test_replay_stops_at_the_last_repeated_window(monkeypatch, depth):
+    # the bounds (0, w1, w2, 0) chase down to a tie with -depth; a replay
+    # one window longer than the pair condition allows overshoots it, and
+    # the lowering then refutes a member
+    jumps = _count_jumps(monkeypatch)
+    target, fs = (0, 1, None, 0, 1, 0, None, 1, 0), [(0, 0, 0), (0, 0), (0, 1, None, -depth, 1, 0)]
+    chain = _greatest_chain(target, fs)
+    assert any(jumps)
+    assert chain == [(0, -depth - 2, -depth - 1, 0)]
+    if depth < 100:
+        assert chain == plain_lowering(target, fs)

@@ -375,11 +375,11 @@ def _two_factor_question(rng, field):
 
 
 def test_two_factor_membership_is_the_row_check():
-    # two factors are decided by the row check alone: in_product, and the
-    # division checks when p is T - a, agree with the rows of
-    # product_coefficient_sets and with the relation reference, on drawn
-    # members and on the targets that the all-tops hull check (above the
-    # chain, or below it at a vertex) and the sign end check refused first
+    # two factors are decided by the row check, which the tropical lowering
+    # reads as its two rules: in_product, and the division checks when p is
+    # T - a, agree with the rows of product_coefficient_sets and with the
+    # relation reference, on drawn members and on targets above the all-tops
+    # chain, below it at a hull vertex, or off the sign end coefficients
     rng = random.Random(21)
     seen = Counter()
     for field in (SIGN, TROPICAL):

@@ -422,6 +422,16 @@ def test_search_quotients_edge_budgets():
     assert search_quotients(zero_root, Z) == [p]
 
 
+def test_search_quotients_refuses_float_deltas():
+    # 0.1 is no exact rational: it would lower by a binary fraction over 2^55
+    p = trop_poly([1, 0, 1, 0])
+    with pytest.raises(ValueError) as want:
+        L(0.1)
+    with pytest.raises(ValueError) as got:
+        search_quotients(p, L(1), deltas=(0.1,))
+    assert str(got.value) == str(want.value)
+
+
 def test_search_quotients_matches_perturbation_oracle():
     """The relation walk returns the oracle's list, order included."""
     rng = random.Random(30)
