@@ -116,14 +116,6 @@ class TropValue(_Record):
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exponent == other.exponent
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.exponent,))
-
     def __mul__(self, other: "TropValue") -> "TropValue":
         if self.exponent is None or other.exponent is None:
             return TropValue(None)
@@ -219,7 +211,7 @@ def trop_hyperadd(values: Iterable[TropValue]) -> TropSubset:
     if not vs:
         raise EmptySumError("hyperaddition needs at least one summand")
     top = max(vs)
-    repeated = sum(1 for v in vs if v == top) >= 2
+    repeated = sum(1 for v in vs if v.exponent == top.exponent) >= 2
     return TropSubset(top, repeated)
 
 
@@ -229,15 +221,7 @@ def trop_contains(c: TropValue, summands: Iterable[TropValue]) -> bool:
     Equivalent to: the maximum of {c} and the summands is attained at
     least twice, counting c itself.
     """
-    vs = list(summands)
-    if not vs:
-        raise EmptySumError("hyperaddition needs at least one summand")
-    top = max(vs)
-    if c > top:
-        return False
-    if c == top:
-        return True
-    return sum(1 for v in vs if v == top) >= 2
+    return trop_hyperadd(summands).contains(c)
 
 
 def trop_hyperadd_subset(a: TropValue, s: TropSubset) -> TropSubset:

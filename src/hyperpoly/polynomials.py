@@ -16,11 +16,15 @@ n-fold products are defined by the left-nested recursion (the product
 is not associative, so the nesting matters).  Over the sign field two
 factors are decided by the row check alone, each target coefficient
 against its row's cross terms, which is the definition of membership;
-three or more are one depth-first search over the chain's
-intermediates, ending in that row check: the end coefficients of a
-member are forced, the products of the factors' ends, and are checked
-on the ints first, and a step tries every member of the two-factor
-product, so the search is exhaustive.  Tropical membership runs on
+three or more must first have the forced end coefficients of a member,
+the products of the factors' ends, checked on the ints, and then run
+that row check on each intermediate of ``_left_nested``.  That walk
+yields the distinct members of a left-nested sign product depth first
+and lazily, trying every member of each two-factor product, so the
+membership test is exhaustive and stops at the first intermediate whose
+last link holds; ``enumerate_product`` sorts the whole walk.  It keeps
+its depth on a list, so a chain of constant factors, which adds no
+degree, may be as long as the caller likes.  Tropical membership runs on
 exponents scaled by the lcm of their denominators: the scaling turns
 every exponent into an int and keeps order and sums, so the code adds
 and compares plain ints and decides what it would on Fractions.
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import accumulate, combinations
 from itertools import product as iter_product
@@ -108,14 +112,6 @@ class Polynomial(_Record):
         while cs and self.field.is_zero(cs[-1]):
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.field is other.field and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     @property
     def degree(self):
@@ -331,9 +327,9 @@ def _chain_member(field, target: tuple, coeffs) -> bool:
     factors included.  Over the sign field two factors are the row
     check alone, each target coefficient against its row's cross terms,
     which is the definition of membership.  Three or more must have the
-    forced end coefficients, the products of the factors' ends, and a
-    depth-first search over the intermediates tries every member of each
-    two-factor product."""
+    forced end coefficients, the products of the factors' ends, and then
+    the row check with the last factor must hold for one member of the
+    product of the others, walked by ``_left_nested``."""
     if field is TROPICAL:
         _, target, *coeffs = _scaled(target, *coeffs)
         if all(len(d) == 2 for d in coeffs):
@@ -354,20 +350,7 @@ def _chain_member(field, target: tuple, coeffs) -> bool:
     if (target[0] != math.prod(c[0] for c in coeffs)
             or target[-1] != math.prod(c[-1] for c in coeffs)):
         return False
-    seen = set()  # (step, intermediate) pairs already explored without success
-
-    def step(cs: tuple, idx: int) -> bool:
-        if (idx, cs) in seen:
-            return False
-        if idx == last:
-            found = is_last_link(cs)
-        else:
-            found = any(step(w, idx + 1) for w in _product_members(cs, coeffs[idx]))
-        if not found:
-            seen.add((idx, cs))
-        return found
-
-    return step(coeffs[0], 1)
+    return any(map(is_last_link, _left_nested(coeffs[0], coeffs[1:last])))
 
 
 def _greatest_chain(target: tuple, coeffs) -> list | None:
@@ -598,9 +581,41 @@ def _product_members(c: tuple, d: tuple):
     return iter_product(*(sorted(row) for row in _product_rows(SIGN, c, d)))
 
 
+def _left_nested(first: tuple, factors: Sequence[tuple]) -> Iterator[tuple]:
+    """The distinct members of the left-nested sign product of the
+    coefficient tuples ``first`` and ``factors``, depth first and lazily.
+
+    The walk keeps one iterator of ``_product_members`` per factor on a
+    list, not on the call stack, so a chain of any length walks, and one
+    set per depth, so each intermediate is expanded once."""
+    if not factors:
+        yield first
+        return
+    last = len(factors) - 1
+    seen = [set() for _ in factors]
+    stack = [_product_members(first, factors[0])]
+    while stack:
+        depth = len(stack) - 1
+        level = seen[depth]
+        if depth == last:
+            for w in stack.pop():
+                if w not in level:
+                    level.add(w)
+                    yield w
+            continue
+        for w in stack[-1]:
+            if w not in level:
+                level.add(w)
+                stack.append(_product_members(w, factors[depth + 1]))
+                break
+        else:
+            stack.pop()
+
+
 def enumerate_product(factors: Sequence[Polynomial],
                       max_degree: int = DEFAULT_DEGREE_BOUND) -> list:
-    """The exact left-nested product set over the sign field, sorted."""
+    """The exact left-nested product set over the sign field, the walk
+    ``_left_nested`` sorted."""
     fs = list(factors)
     if not fs:
         raise ValueError("at least one factor is required")
@@ -608,7 +623,5 @@ def enumerate_product(factors: Sequence[Polynomial],
         raise ValueError("enumerate_product is defined over the sign field only")
     _require_nonzero(*fs)
     _check_bound(sum(q.degree for q in fs), max_degree)
-    current = {fs[0].coeffs}
-    for q in fs[1:]:
-        current = {m for cs in current for m in _product_members(cs, q.coeffs)}
-    return sorted((Polynomial(SIGN, cs) for cs in current), key=poly_sort_key)
+    walk = _left_nested(fs[0].coeffs, [q.coeffs for q in fs[1:]])
+    return sorted((Polynomial(SIGN, cs) for cs in walk), key=poly_sort_key)

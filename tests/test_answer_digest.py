@@ -9,20 +9,25 @@ of two broken field tables, the morphism law and pushforward reports,
 the non-uniqueness witness and the ``selftest`` output.  The README's
 command-line examples and the refused invocations of the CLI's hostile
 input matrix, with their exit codes, output and error text, are a
-fourth.  A change that moves a digest changes some answer; print the
-text in two checkouts and diff them to see which:
+fourth.  Seeded sign chains of 3-10 factors asked through ``in_product``
+are a fifth: the workload asks only two to four factors.  A change that
+moves a digest changes some answer; print the text in two checkouts and
+diff them to see which:
 
     PYTHONPATH=src python tests/test_answer_digest.py > answers.json
     PYTHONPATH=src python tests/test_answer_digest.py cli > cli.json
     PYTHONPATH=src python tests/test_answer_digest.py reports > reports.json
     PYTHONPATH=src python tests/test_answer_digest.py readme > readme.json
+    PYTHONPATH=src python tests/test_answer_digest.py chains > chains.json
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -41,6 +46,7 @@ from hyperpoly.fields import (SIGN, TROPICAL, SignField, TropicalField,  # noqa:
                               TropSubset, TropValue)
 from hyperpoly.morphisms import (check_morphism_laws, check_pushforward_lemma,  # noqa: E402
                                  nonuniqueness_witness)
+from oracles import raw_sign_product_rows  # noqa: E402
 from test_cli import _hostile_argvs, _readme_examples  # noqa: E402
 
 WORKLOADS = ("sign", "tropical")
@@ -49,6 +55,9 @@ DIGEST = "e5a18a25002fcb1ec5fe334c116dc85ce7de52df47f57b39da98100ebe3e223d"
 CLI_DIGEST = "878c781ddd3b4aeeaea4410cce1c49739abb56e6263b606bf6d3c3709d747581"
 REPORT_DIGEST = "e22155248545c10f3cdb7c3e76b5500aa7541ec2a8912eace5da561efff24336"
 README_DIGEST = "1a7e91f56361427d17bd8d565ba284276e3cfbc5bbaccf422a74c4d713220f21"
+CHAIN_DIGEST = "6f4850a9af1df91c26d917329f46707efdb0cb4490a209ad465e06761265deb5"
+CHAIN_SEEDS = (1, 2, 3)
+CHAINS_PER_SEED = 40  # members, and as many non-members
 
 
 def _hull_roots(p) -> list:
@@ -189,6 +198,57 @@ def readme_text() -> str:
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
+def _sign_factors(rng) -> list:
+    """3-10 sign coefficient tuples of degree 0-3 each, 12 in all at most."""
+    while True:
+        degrees = [rng.randint(0, 3) for _ in range(rng.randint(3, 10))]
+        if sum(degrees) <= 12:
+            return [tuple(rng.choice((-1, 0, 1)) for _ in range(n)) + (rng.choice((-1, 1)),)
+                    for n in degrees]
+
+
+def _ask(factors, target) -> bool:
+    return hyperpoly.in_product(hyperpoly.sign_poly(target),
+                                [hyperpoly.sign_poly(q) for q in factors])
+
+
+def _chain_answers(seed) -> list:
+    """Seeded sign chain questions [seed, factors, target, answer], with
+    coefficient tuples lowest first, members first.
+
+    A member is built from real products: each step draws one value of
+    every row of the two-factor product, the rows written out by the
+    oracle.  A non-member is a drawn target that passes the end check,
+    its end coefficients the products of the factors' ends, and that
+    ``in_product`` refuses; a chain of constants has a single product,
+    so it is drawn again."""
+    rng = random.Random(seed)
+    members, others = [], []
+    while len(members) < CHAINS_PER_SEED:
+        factors = _sign_factors(rng)
+        w = factors[0]
+        for q in factors[1:]:
+            w = tuple(rng.choice(sorted(row)) for row in raw_sign_product_rows(w, q))
+        members.append([seed, factors, w, _ask(factors, w)])
+    while len(others) < CHAINS_PER_SEED:
+        factors = _sign_factors(rng)
+        degree = sum(len(q) - 1 for q in factors)
+        if degree == 0:
+            continue
+        inner = [rng.choice((-1, 0, 1)) for _ in range(degree - 1)]
+        target = (math.prod(q[0] for q in factors), *inner, math.prod(q[-1] for q in factors))
+        if not _ask(factors, target):
+            others.append([seed, factors, target, False])
+    return members + others
+
+
+def chain_answer_text() -> str:
+    """Every seeded sign chain question with ``in_product``'s answer in one
+    JSON line."""
+    return json.dumps([q for seed in CHAIN_SEEDS for q in _chain_answers(seed)],
+                      separators=(",", ":"))
+
+
 def test_answers_keep_their_digest():
     assert hashlib.sha256(answer_text().encode()).hexdigest() == DIGEST
 
@@ -205,6 +265,14 @@ def test_readme_and_refusals_keep_their_digest():
     assert hashlib.sha256(readme_text().encode()).hexdigest() == README_DIGEST
 
 
+def test_sign_chains_keep_their_digest():
+    text = chain_answer_text()
+    answers = [answer for *_, answer in json.loads(text)]
+    assert answers == ([True] * CHAINS_PER_SEED + [False] * CHAINS_PER_SEED) * len(CHAIN_SEEDS)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_DIGEST
+
+
 if __name__ == "__main__":
-    texts = {"cli": cli_answer_text, "reports": report_text, "readme": readme_text}
+    texts = {"cli": cli_answer_text, "reports": report_text, "readme": readme_text,
+             "chains": chain_answer_text}
     print(texts.get(" ".join(sys.argv[1:]), answer_text)())

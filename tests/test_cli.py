@@ -337,6 +337,16 @@ def test_sign_degree_bound_on_roots_and_check_product():
         assert (r.returncode, r.stdout) == (0, answer)
 
 
+def test_long_constant_sign_chains_answer():
+    # constant factors add no degree, so the default bound lets these in
+    for count in (400, 1200):
+        factors = ";".join(["1"] * count + ["T+1"])
+        for poly, answer in (("T+1", "true\n"), ("T-1", "false\n")):
+            r = run_cli("check-product", "--field", "sign", "--poly", poly, "--factors", factors,
+                        timeout=20)
+            assert (r.returncode, r.stdout, r.stderr) == (0, answer, "")
+
+
 def test_byte_identical_reruns():
     invocations = [
         ("divide", "--field", "sign", "--poly", "T^3+T^2+T+1", "--root", "-1"),

@@ -157,6 +157,23 @@ def test_sign_chain_with_a_quadratic_factor_matches_enumeration():
     assert members > 200
 
 
+def test_long_constant_sign_chain():
+    # constant factors add no degree, so a chain may be far longer than any
+    # degree bound lets a product grow: the walk keeps its depth off the stack
+    ones = [sign_poly([1])] * 1200
+    t_plus, t_minus = sign_poly([1, 1]), sign_poly([-1, 1])
+    assert in_product(t_plus, ones + [t_plus])
+    assert not in_product(t_minus, ones + [t_plus])
+    # (T+1)(T+1) is the single T^2+T+1, so T^2+1 passes the end check only
+    assert not in_product(sign_poly([1, 0, 1]), ones + [t_plus, t_plus])
+    assert enumerate_product(ones + [t_plus]) == [t_plus]
+
+
+def test_long_linear_sign_chain():
+    t = sign_poly([0, 1])
+    assert in_product(sign_poly([0] * 1100 + [1]), [t] * 1100)
+
+
 def test_enumerate_product_bound():
     factors = [sign_poly([1, 1])] * 13
     with pytest.raises(DegreeBoundExceeded):
