@@ -6,7 +6,11 @@ and ``TropValue.zero()`` is the absorbing zero.  The base of the
 logarithm is irrelevant (everything below only adds and compares
 exponents), so all computation is exact rational arithmetic; this is
 what keeps Newton-polygon slopes and division results closed under the
-algorithms in :mod:`hyperpoly.tropical`.
+algorithms in :mod:`hyperpoly.tropical`.  A ``TropValue`` stores its
+exponent as a reduced pair of ints, numerator and positive denominator,
+and does its arithmetic on the pair; ``exponent`` builds the
+``Fraction`` only when asked, and ``TropValue._from_scaled(v, L)``
+decodes an exponent v / L with one gcd.
 
 Sign values are the plain integers -1, 0 and 1; integer multiplication
 restricted to them is already the right product.
@@ -19,6 +23,8 @@ field, captured by a plain ``frozenset`` of ints.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from collections.abc import Iterable
 from fractions import Fraction
@@ -50,21 +56,23 @@ class _Record:
 
     Instances compare equal only to instances of the same type with equal
     fields; assignment and deletion raise ``AttributeError``.  Subclasses
-    set their fields in ``__init__`` through ``object.__setattr__``.
+    set their fields in ``__init__`` through ``object.__setattr__``.  Each
+    subclass gets its field getter, ``_fields``, built once.
     """
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = operator.attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -80,16 +88,37 @@ class _Record:
 class TropValue(_Record):
     """A tropical number: exp(exponent), or the zero when ``exponent`` is None.
 
-    The total order puts zero below every finite value and orders finite
-    values by exponent; multiplication adds exponents and is absorbed by
-    zero.  Negation is the identity (every tropical number is its own
-    additive inverse).
+    The exponent is kept as two ints, its numerator and denominator in
+    lowest terms with the denominator positive, both None for the zero;
+    ``exponent`` builds its ``Fraction`` on request.  Products, inverses
+    and comparisons work on the pairs, and ``polynomials._scaled`` reads
+    them as they are.  The total order puts zero below every finite value
+    and orders finite values by exponent; multiplication adds exponents
+    and is absorbed by zero.  Negation is the identity (every tropical
+    number is its own additive inverse).
     """
 
-    __slots__ = ("exponent",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, exponent: Fraction | None = None):
-        object.__setattr__(self, "exponent", exponent)
+        num, den = (None, None) if exponent is None else exponent.as_integer_ratio()
+        _set_num(self, num)
+        _set_den(self, den)
+
+    @classmethod
+    def _from_scaled(cls, v: int | None, scale: int) -> "TropValue":
+        """The value with exponent v / scale, for a scale > 0; None is the zero."""
+        if v is None:
+            return TROP_ZERO
+        new = cls.__new__(cls)
+        g = math.gcd(v, scale)
+        _set_num(new, v // g)
+        _set_den(new, scale // g)
+        return new
+
+    @property
+    def exponent(self) -> Fraction | None:
+        return None if self._den is None else Fraction(self._num, self._den)
 
     @classmethod
     def zero(cls) -> "TropValue":
@@ -99,7 +128,7 @@ class TropValue(_Record):
     def log(cls, e) -> "TropValue":
         if isinstance(e, float):
             raise ValueError("tropical exponents must be exact rationals, not floats")
-        return cls(Fraction(e))
+        return cls(e if type(e) in (int, Fraction) else Fraction(e))
 
     @classmethod
     def coerce(cls, x) -> "TropValue":
@@ -114,17 +143,18 @@ class TropValue(_Record):
 
     @property
     def is_zero(self) -> bool:
-        return self.exponent is None
+        return self._den is None
 
     def __mul__(self, other: "TropValue") -> "TropValue":
-        if self.exponent is None or other.exponent is None:
-            return TropValue(None)
-        return TropValue(self.exponent + other.exponent)
+        a, b = self._den, other._den
+        if a is None or b is None:
+            return TROP_ZERO
+        return TropValue._from_scaled(self._num * b + other._num * a, a * b)
 
     def inv(self) -> "TropValue":
-        if self.exponent is None:
+        if self._den is None:
             raise ZeroDivisionError("the tropical zero has no multiplicative inverse")
-        return TropValue(-self.exponent)
+        return TropValue._from_scaled(-self._num, self._den)
 
     def __truediv__(self, other: "TropValue") -> "TropValue":
         return self * other.inv()
@@ -133,11 +163,11 @@ class TropValue(_Record):
         return self
 
     def __lt__(self, other: "TropValue") -> bool:
-        if self.exponent is None:
-            return other.exponent is not None
-        if other.exponent is None:
+        if self._den is None:
+            return other._den is not None
+        if other._den is None:
             return False
-        return self.exponent < other.exponent
+        return self._num * other._den < other._num * self._den
 
     # The order is total, so >, <= and >= are each one call of __lt__, looked
     # up on the class at call time so that a wrapper installed there counts it.
@@ -151,19 +181,26 @@ class TropValue(_Record):
         return not TropValue.__lt__(self, other)
 
     def sort_key(self):
-        if self.exponent is None:
+        if self._den is None:
             return (0, Fraction(0))
         return (1, self.exponent)
 
     def __str__(self) -> str:
-        return "zero" if self.exponent is None else exact_str(self.exponent)
+        if self._den is None:
+            return "zero"
+        num = exact_str(self._num)
+        return num if self._den == 1 else f"{num}/{exact_str(self._den)}"
 
     def __repr__(self) -> str:
         return f"TropValue({self})"
 
 
+# the slots' own setters, which skip _Record.__setattr__ as object.__setattr__
+# does but without its lookup by name
+_set_num, _set_den = TropValue._num.__set__, TropValue._den.__set__
+
 TROP_ZERO = TropValue(None)
-TROP_ONE = TropValue(Fraction(0))
+TROP_ONE = TropValue(0)
 
 
 class TropSubset(_Record):
@@ -211,7 +248,7 @@ def trop_hyperadd(values: Iterable[TropValue]) -> TropSubset:
     if not vs:
         raise EmptySumError("hyperaddition needs at least one summand")
     top = max(vs)
-    repeated = sum(1 for v in vs if v.exponent == top.exponent) >= 2
+    repeated = sum(1 for v in vs if v._num == top._num and v._den == top._den) >= 2
     return TropSubset(top, repeated)
 
 

@@ -28,13 +28,14 @@ degree, may be as long as the caller likes.  Tropical membership runs on
 exponents scaled by the lcm of their denominators: the scaling turns
 every exponent into an int and keeps order and sums, so the code adds
 and compares plain ints and decides what it would on Fractions.
-``_scaled``, which encodes tuples of ``TropValue``s, is the one encoder
-for this, shared with the Newton polygon, tropical division and the
-quotient search in ``tropical``, as ``_lower_hull`` is the one hull
-routine.  The input's shape picks one of two tropical deciders.  A
-product of linear factors is decided by the paper's closed form, the
-hull check ``_linear_tropical_member`` against the max-plus product of
-the factors.  Any other product, two factors included, is decided by
+``_scaled``, which encodes tuples of ``TropValue``s from the numerator
+and denominator each one stores, is the one encoder for this, shared
+with the Newton polygon, tropical division and the quotient search in
+``tropical``, as ``_lower_hull`` is the one hull routine.  The input's
+shape picks one of two tropical deciders.  A product of linear factors
+is decided by the paper's closed form, the hull check
+``_linear_tropical_member`` against the max-plus product of the
+factors.  Any other product, two factors included, is decided by
 ``_greatest_chain``, which lowers bounds from the all-tops chain to the
 greatest chain through the target, or proves there is none.  So
 tropical membership multiplies no ``TropValue``, and each of its
@@ -377,6 +378,13 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
     c = top unless the row is tied.  One sweep decides, and stops at the
     first failing row.
 
+    The first sweep starts at the last link, the one into the target.
+    At the all-tops bounds every row of an earlier link has its value
+    equal to its largest term bound, the max-plus top of the row, or
+    both are the zero.  So neither rule fires there, those links would
+    leave every bound as it is, and skipping them changes no later sweep,
+    replay or answer.
+
     Why the answer is exact.  Every chain lies below the all-tops chain,
     and each rule lowers a bound only past values that no chain below the
     bounds can take, so every chain stays below the bounds.  When no rule
@@ -409,10 +417,11 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
         floor = (min(e for e in target + coeffs[0] if e is not None)
                  - size * (max(spread) - min(spread)))
     history = []  # the intermediates before each of the latest sweeps
+    start = last
     while True:
         history.append([tuple(w) for w in levels[1:last]])
         moved = False
-        for idx in range(1, last + 1):
+        for idx in range(start, last + 1):
             below, q, w = levels[idx - 1], coeffs[idx], levels[idx]
             m, n = len(q) - 1, len(below) - 1
             for i, v in enumerate(w):
@@ -441,6 +450,7 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
                     moved = True
         if not moved:
             return history[-1]
+        start = 1
         if len(history) > size:
             if _replay_windows(levels, history, coeffs, floor):
                 history.clear()
@@ -499,13 +509,12 @@ def _scaled(*groups) -> tuple:
     all exponents, and the zero becomes None.  The map preserves order
     and sums, so code that only adds, subtracts and compares exponents
     decides on these ints exactly what it would on the Fractions, and
-    an int v it computes decodes to the exponent Fraction(v, L).
+    an int v it computes decodes to ``TropValue._from_scaled(v, L)``.
+    The numerators and denominators are read from the values' own slots.
     """
-    ratios = [[None if c.exponent is None else c.exponent.as_integer_ratio() for c in g]
-              for g in groups]
-    scale = math.lcm(*{r[1] for rs in ratios for r in rs if r is not None})
-    return (scale, *(tuple([None if r is None else r[0] * (scale // r[1]) for r in rs])
-                     for rs in ratios))
+    scale = math.lcm(*{c._den for g in groups for c in g if c._den is not None})
+    return (scale, *(tuple([None if c._den is None else c._num * (scale // c._den) for c in g])
+                     for g in groups))
 
 
 def _tropical_root(cs: tuple, e):

@@ -29,10 +29,14 @@ Fractions, and only answers are decoded.  One int core,
 ``_maximal_quotient``, finds the maximal quotient for both ``divide``
 and ``search_quotients``, at the zero root too, where it is the shift:
 each encodes its inputs once and calls it, ``divide`` decodes its
-answer and the search walks its ints as they are.  A hull vertex keeps
-p's own height, a slope is decoded once per hull segment, a quotient
-coefficient copied from p is p's own value, and each distinct exponent
-of the searched quotients is decoded once.
+answer and the search walks its ints as they are.  The polygon's
+vertex heights and slopes are its public Fractions, each decoded once
+from the hull's ints.  The divisions decode through
+``TropValue._from_scaled``, one gcd and no Fraction: a quotient
+coefficient copied from p is p's own value, and the searched quotients
+are sorted on their ints, which share one scale and so sort as
+``poly_sort_key`` sorts the values, before each distinct exponent is
+decoded once.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ from fractions import Fraction
 from .errors import ConstantPolynomialError, NotARootError
 from .fields import TROPICAL, TropValue, _Record, exact_str
 from .polynomials import (Polynomial, _at_most, _check_trop_value, _linear_quotients,
-                          _lower_hull, _scaled, _tropical_root, divides_linearly,
-                          poly_sort_key)
+                          _lower_hull, _scaled, _tropical_root, divides_linearly)
 
 __all__ = [
     "NewtonPolygon",
@@ -103,8 +106,8 @@ def _require_positive_degree(p: Polynomial):
 def newton_polygon(p: Polynomial) -> NewtonPolygon:
     """Lower convex hull of the points (i, -e_i) over nonzero coefficients.
 
-    The hull is built on the ``_scaled`` exponents; each vertex keeps
-    p's own height, and each segment's slope is decoded once."""
+    The hull is built on the ``_scaled`` exponents, and each vertex's
+    height and each segment's slope is decoded from them once."""
     _require_positive_degree(p)
     scale, cs = _scaled(p.coeffs)
     points = [(i, -e) for i, e in enumerate(cs) if e is not None]
@@ -116,7 +119,7 @@ def newton_polygon(p: Polynomial) -> NewtonPolygon:
         slopes.extend([Fraction(h2 - h1, (i2 - i1) * scale)] * (i2 - i1))
 
     vertices = (tuple((i, None) for i in range(zero_mult))
-                + tuple((i, -p.coeffs[i].exponent) for i, _ in hull))
+                + tuple((i, Fraction(h, scale)) for i, h in hull))
     return NewtonPolygon(vertices, tuple(slopes), zero_mult)
 
 
@@ -146,12 +149,12 @@ def divide(p: Polynomial, a: TropValue) -> Polynomial:
 
     ``_maximal_quotient`` divides on the ``_scaled`` exponents; a
     coefficient d_i equal to c_{i+1}, as is every one copied from p, is
-    decoded as p's own value."""
+    decoded as p's own value, and any other by ``TropValue._from_scaled``."""
     _check_trop_value(a)
     _require_positive_degree(p)
     scale, cs, (e,) = _scaled(p.coeffs, (a,))
     return Polynomial(TROPICAL, tuple(
-        x if v == y else TROPICAL.zero if v is None else TropValue(Fraction(v, scale))
+        x if v == y else TropValue._from_scaled(v, scale)
         for v, y, x in zip(_maximal_quotient(cs, e, a), cs[1:], p.coeffs[1:])))
 
 
@@ -212,8 +215,8 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     cost and each lowered value at a cost of one change.  One
     ``_scaled`` call encodes p, a and the deltas, so the scale takes in
     the deltas' denominators too; the maximal quotient comes as ints
-    from ``divide``'s core, and each distinct exponent of the answers is
-    decoded once.  The deltas are exact rationals, as ``TropValue.log``
+    from ``divide``'s core, the answers are sorted on their ints, and each
+    distinct exponent of them is decoded once.  The deltas are exact rationals, as ``TropValue.log``
     takes them: a float is refused with its ``ValueError``.  For exploring
     the quotient set at desk scale, not for characterizing it.
     """
@@ -234,10 +237,10 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
         return c == (x if prev is None or (x is not None and x > prev) else prev)
 
     found = _linear_quotients(cs, None, holds, options, max(max_changed, 0))
-    decoded = {v: TropValue(None if v is None else Fraction(v, scale))
-               for v in {v for d in found for v in d}}
-    return sorted((Polynomial(TROPICAL, tuple(map(decoded.__getitem__, d))) for d in found),
-                  key=poly_sort_key)
+    # one scale for all, so the ints sort as poly_sort_key sorts the values
+    found.sort(key=lambda d: [(0, 0) if v is None else (1, v) for v in d])
+    decoded = {v: TropValue._from_scaled(v, scale) for v in {v for d in found for v in d}}
+    return [Polynomial(TROPICAL, tuple(map(decoded.__getitem__, d))) for d in found]
 
 
 def render_newton_svg(p: Polynomial, polygon: NewtonPolygon | None = None) -> str:
