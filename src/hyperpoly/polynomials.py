@@ -407,15 +407,17 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
     takes finitely many values, so the sweeps end.  A chase or a long
     descent toward a distant tie still takes a number of sweeps that grows
     with the exponents, so ``_replay_windows`` jumps over repeated sweeps.
+
+    The floor, ``_chain_floor``, is taken when a bound first comes down
+    without refuting.  It depends on the inputs alone, and only a bound
+    that comes down, or a replay after one, is compared with it, so
+    taking it then changes no comparison.  Two factors, refutations and
+    chains that hold at their first sweep never take it.
     """
     last = len(coeffs) - 1
     levels = [*map(list, accumulate(coeffs[:last], _max_plus)), target]
     size = sum(map(len, levels[1:last]))
-    floor = None  # two factors move no bound: each rule refutes membership at once
-    if last > 1:
-        spread = [0, *(e for q in coeffs[1:] for e in q if e is not None)]
-        floor = (min(e for e in target + coeffs[0] if e is not None)
-                 - size * (max(spread) - min(spread)))
+    floor = None  # taken when a bound first comes down
     history = []  # the intermediates before each of the latest sweeps
     start = last
     while True:
@@ -438,12 +440,16 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
                 if v is not None and (first is None or v > first):  # rule 1
                     if idx == last:
                         return None
+                    if floor is None:
+                        floor = _chain_floor(target, coeffs, size)
                     w[i] = v = None if first is None or first < floor else first
                     moved = True
                 if (first is not None and (v is None or first > v)
                         and (second is None or first > second)):  # rule 2
                     if idx == 1:
                         return None
+                    if floor is None:
+                        floor = _chain_floor(target, coeffs, size)
                     if v is None or second is not None and second > v:
                         v = second
                     below[top] = None if v is None or v - q[i - top] < floor else v - q[i - top]
@@ -456,6 +462,15 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
                 history.clear()
             else:
                 del history[0]
+
+
+def _chain_floor(target: tuple, coeffs, size: int) -> int:
+    """``_greatest_chain``'s floor: the lowest target or first-factor
+    exponent less ``size``, the number of intermediate coefficients,
+    times the spread D of the other factors' exponents and 0."""
+    spread = [0, *(e for q in coeffs[1:] for e in q if e is not None)]
+    return (min(e for e in target + coeffs[0] if e is not None)
+            - size * (max(spread) - min(spread)))
 
 
 def _replay_windows(levels, history, coeffs, floor) -> bool:
@@ -566,15 +581,14 @@ def _at_most(c, top) -> bool:
 def _max_plus(a: tuple, b: tuple) -> tuple:
     """The max-plus product of scaled coefficient tuples a and b, None the
     zero: the top of each row of the tropical product a * b."""
-    n, m = len(a) - 1, len(b) - 1
-    tops = []
-    for i in range(n + m + 1):
-        top = None
-        for k in range(i - m if i > m else 0, (i if i < n else n) + 1):
-            x, y = a[k], b[i - k]
-            if x is not None and y is not None and (top is None or x + y > top):
-                top = x + y
-        tops.append(top)
+    tops = [None] * (len(a) + len(b) - 1)
+    finite = [(l, y) for l, y in enumerate(b) if y is not None]
+    for k, x in enumerate(a):
+        if x is not None:
+            for l, y in finite:
+                top = tops[k + l]
+                if top is None or x + y > top:
+                    tops[k + l] = x + y
     return tuple(tops)
 
 

@@ -29,14 +29,17 @@ Fractions, and only answers are decoded.  One int core,
 ``_maximal_quotient``, finds the maximal quotient for both ``divide``
 and ``search_quotients``, at the zero root too, where it is the shift:
 each encodes its inputs once and calls it, ``divide`` decodes its
-answer and the search walks its ints as they are.  The polygon's
+answer and the search walks its ints as they are.  One private int
+hull, ``_hull``, serves the polygon and the roots.  The polygon's
 vertex heights and slopes are its public Fractions, each decoded once
-from the hull's ints.  The divisions decode through
-``TropValue._from_scaled``, one gcd and no Fraction: a quotient
-coefficient copied from p is p's own value, and the searched quotients
-are sorted on their ints, which share one scale and so sort as
-``poly_sort_key`` sorts the values, before each distinct exponent is
-decoded once.
+from the hull's ints, while ``roots_with_multiplicities`` and
+``factor`` decode each root from the hull's ints through
+``TropValue._from_scaled``, one gcd and no Fraction.  The divisions
+decode through it too: a quotient coefficient equal to one of p's, as
+is every one copied from p, is p's own value, and the searched
+quotients are sorted on their ints, which share one scale and so sort
+as ``poly_sort_key`` sorts the values, before each distinct exponent
+is decoded once.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstantPolynomialError, NotARootError
-from .fields import TROPICAL, TropValue, _Record, exact_str
+from .fields import TROP_ZERO, TROPICAL, TropValue, _Record, exact_str
 from .polynomials import (Polynomial, _at_most, _check_trop_value, _linear_quotients,
                           _lower_hull, _scaled, _tropical_root, divides_linearly)
 
@@ -103,17 +106,23 @@ def _require_positive_degree(p: Polynomial):
         raise ConstantPolynomialError("a polynomial of degree >= 1 is required")
 
 
-def newton_polygon(p: Polynomial) -> NewtonPolygon:
-    """Lower convex hull of the points (i, -e_i) over nonzero coefficients.
-
-    The hull is built on the ``_scaled`` exponents, and each vertex's
-    height and each segment's slope is decoded from them once."""
+def _hull(p: Polynomial) -> tuple:
+    """The scale, the zero root's multiplicity and the lower hull of the
+    points (i, -e_i) on p's ``_scaled`` exponents, over its nonzero
+    coefficients: the one hull that the polygon and the roots read."""
     _require_positive_degree(p)
     scale, cs = _scaled(p.coeffs)
     points = [(i, -e) for i, e in enumerate(cs) if e is not None]
     zero_mult = points[0][0]  # leading zero coefficients c_0..c_{l-1}
-    hull = _lower_hull(points)
+    return scale, zero_mult, _lower_hull(points)
 
+
+def newton_polygon(p: Polynomial) -> NewtonPolygon:
+    """Lower convex hull of the points (i, -e_i) over nonzero coefficients.
+
+    The hull is ``_hull``'s, on the ``_scaled`` exponents, and each
+    vertex's height and each segment's slope is decoded from it once."""
+    scale, zero_mult, hull = _hull(p)
     slopes = []
     for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
         slopes.extend([Fraction(h2 - h1, (i2 - i1) * scale)] * (i2 - i1))
@@ -125,19 +134,19 @@ def newton_polygon(p: Polynomial) -> NewtonPolygon:
 
 def roots_with_multiplicities(p: Polynomial) -> list:
     """The sorted root loci of p: the zero root first, then one locus per
-    hull segment, whose slope is the root and whose width its multiplicity."""
-    polygon = newton_polygon(p)
-    zero_mult = polygon.zero_root_multiplicity
-    loci = [RootLocus(TropValue.zero(), zero_mult, 1)] if zero_mult else []
-    hull = polygon.vertices[zero_mult:]
-    for (i1, _), (i2, _) in zip(hull, hull[1:]):
-        loci.append(RootLocus(TropValue(polygon.slopes[i1 - zero_mult]), i2 - i1, i1 + 1))
+    hull segment, whose slope is the root and whose width its multiplicity.
+
+    The roots are read off ``_hull``'s scaled ints, the polygon's own
+    hull, and each slope is decoded by ``TropValue._from_scaled``."""
+    scale, zero_mult, hull = _hull(p)
+    loci = [RootLocus(TROP_ZERO, zero_mult, 1)] if zero_mult else []
+    for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
+        loci.append(RootLocus(TropValue._from_scaled(h2 - h1, (i2 - i1) * scale), i2 - i1, i1 + 1))
     return loci
 
 
 def factor(p: Polynomial):
     """Unique factorization: the unit c_n and the linear factors T + a_i, ascending."""
-    _require_positive_degree(p)
     factors = []
     for locus in roots_with_multiplicities(p):
         factors.extend([Polynomial(TROPICAL, (locus.root, TROPICAL.one))] * locus.multiplicity)
@@ -216,7 +225,8 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     ``_scaled`` call encodes p, a and the deltas, so the scale takes in
     the deltas' denominators too; the maximal quotient comes as ints
     from ``divide``'s core, the answers are sorted on their ints, and each
-    distinct exponent of them is decoded once.  The deltas are exact rationals, as ``TropValue.log``
+    distinct exponent of them is decoded once, as p's own value where it
+    equals one of p's.  The deltas are exact rationals, as ``TropValue.log``
     takes them: a float is refused with its ``ValueError``.  For exploring
     the quotient set at desk scale, not for characterizing it.
     """
@@ -239,7 +249,9 @@ def search_quotients(p: Polynomial, a: TropValue, *, deltas=(1, 2), max_changed:
     found = _linear_quotients(cs, None, holds, options, max(max_changed, 0))
     # one scale for all, so the ints sort as poly_sort_key sorts the values
     found.sort(key=lambda d: [(0, 0) if v is None else (1, v) for v in d])
-    decoded = {v: TropValue._from_scaled(v, scale) for v in {v for d in found for v in d}}
+    own = dict(zip(cs, p.coeffs))  # a value equal to one of p's is p's own
+    decoded = {v: own[v] if v in own else TropValue._from_scaled(v, scale)
+               for v in {v for d in found for v in d}}
     return [Polynomial(TROPICAL, tuple(map(decoded.__getitem__, d))) for d in found]
 
 

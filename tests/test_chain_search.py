@@ -14,9 +14,10 @@ four factors, and targets off the forced end coefficients.  Further
 tests pin the all-tops hull check, which decides linear factors (no
 explicit chain member of any factors fails it), the lowering on targets
 above that chain or off it at a hull vertex, the chase that the
-lowering's floor ends, the replay that jumps over repeated sweeps
-against the plain lowering of ``oracles``, and questions that the
-heuristic search it replaced answered wrongly or slowly.
+lowering's floor ends, the replay that jumps over repeated sweeps and
+the floor taken on demand against the plain lowering of ``oracles``,
+and questions that the heuristic search it replaced answered wrongly
+or slowly.
 """
 
 import os
@@ -29,7 +30,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hyperpoly
@@ -536,3 +537,44 @@ def test_replay_stops_at_the_last_repeated_window(monkeypatch, depth):
     assert chain == [(0, -depth - 2, -depth - 1, 0)]
     if depth < 100:
         assert chain == plain_lowering(target, fs)
+
+
+@st.composite
+def lowering_chain(draw):
+    """Scaled factors, 3-4 of degree 1-2 with exponents in -3..3 and
+    nonzero leads, and a target: the all-tops chain with a lead kept and
+    one to three other coefficients lowered or zeroed."""
+    coeff = st.one_of(st.none(), st.integers(-3, 3))
+    fs = [(*draw(st.lists(coeff, min_size=degree, max_size=degree)), draw(st.integers(-3, 3)))
+          for degree in draw(st.lists(st.integers(1, 2), min_size=3, max_size=4))]
+    tops = fs[0]
+    for q in fs[1:]:
+        tops = tuple(max((tops[k] + q[i - k] for k in range(len(tops)) if 0 <= i - k < len(q)
+                          and tops[k] is not None and q[i - k] is not None), default=None)
+                     for i in range(len(tops) + len(q) - 1))
+    target = list(tops)
+    for i in draw(st.sets(st.integers(0, len(target) - 2), min_size=1, max_size=3)):
+        step = draw(st.integers(1, 3))
+        target[i] = None if target[i] is None or draw(st.booleans()) else target[i] - step
+    return tuple(target), fs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lowering_chain())
+def test_floor_on_demand_lowers_as_the_plain_lowering(question):
+    # the floor is taken when a bound first comes down without refuting,
+    # partway through the first sweep; only such chains are kept, and the
+    # plain lowering, which takes its floor up front, must agree
+    taken, chain_floor = [], polynomials._chain_floor
+
+    def counted(*args):
+        taken.append(args)
+        return chain_floor(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_chain_floor", counted)
+        chain = _greatest_chain(*question)
+    assume(taken)
+    assert len(taken) == 1
+    assert chain == plain_lowering(*question), question

@@ -276,13 +276,12 @@ def test_division_counters():
     none = {"tropical.newton_polygon.calls": 0, "tropical.roots_with_multiplicities.calls": 0,
             "polynomials.is_root.calls": 0, "fields.TropValue.__mul__.calls": 0,
             "fields.TropValue.__lt__.calls": 0}
-    # factor reads the one polygon that its root loci read
-    polygon_once = dict(none, **{"tropical.newton_polygon.calls": 1,
-                                 "tropical.roots_with_multiplicities.calls": 1})
+    # factor reads its root loci off the int hull, with no public polygon
+    loci_once = dict(none, **{"tropical.roots_with_multiplicities.calls": 1})
     root_test = dict(none, **{"polynomials.is_root.calls": 1})
     assert json.loads(out) == {
         "tropical": ["0:T^2+-1:T+0", none], "sign": ["T^2+T+1", none],
-        "factor": ["-1/6 0:T 0:T+1/12 0:T+1/12 0:T+1/2", polygon_once],
+        "factor": ["-1/6 0:T 0:T+1/12 0:T+1/12 0:T+1/2", loci_once],
         "root": ["True", root_test], "zero root": ["True", root_test]}
 
 

@@ -1,6 +1,7 @@
 """``TropValue`` as a reduced int pair: a differential test against
 ``Fraction`` arithmetic over every construction route, and a guard that
-the tropical questions decided on scaled ints build no ``Fraction``."""
+the tropical questions decided on scaled ints, the root loci and the
+factorization among them, build no ``Fraction``."""
 
 import random
 from fractions import Fraction
@@ -119,7 +120,8 @@ def _questions(rng):
         a = rng.choice(roots)
         calls += [(tropical.divide, p, a), (tropical.search_quotients, p, a),
                   (is_root, p, a), (is_root, p, value()),
-                  (in_product, p, factors)]  # linear factors
+                  (in_product, p, factors),  # linear factors
+                  (tropical.roots_with_multiplicities, p), (tropical.factor, poly(4))]
         calls.append((lambda p, a: tropical.is_quotient(p, a, tropical.divide(p, a)), p, a))
         q = tropical.divide(p, a)
         lowered = _poly(q.coeffs[:-1] + (q.coeffs[-1] * L(-1),))
@@ -144,4 +146,4 @@ def test_tropical_questions_build_no_fraction(monkeypatch):
     answers = [fn(*args) for fn, *args in calls]
     monkeypatch.undo()
     assert built == []
-    assert len(calls) == 400 and True in answers and False in answers
+    assert len(calls) == 480 and True in answers and False in answers

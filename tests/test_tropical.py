@@ -28,6 +28,7 @@ from hyperpoly import (
     search_quotients,
     trop_poly,
 )
+from hyperpoly.polynomials import _max_plus, _scaled
 
 from oracles import (brute_search_quotients, hull_slopes, reference_divide,
                      reference_divides_linearly, reference_newton_polygon,
@@ -357,6 +358,35 @@ def wide_poly(draw):
 @given(st.one_of(wide_poly(), root_built_poly()))
 def test_newton_polygon_matches_reference(p):
     _check_polygon_against_reference(p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(wide_poly(), root_built_poly(), free_poly()))
+def test_roots_and_factor_read_the_public_polygon(p):
+    # the root loci come from the int hull, and must be the segments
+    # between the public polygon's finite vertices, each with its slope
+    polygon = newton_polygon(p)
+    zero_mult = polygon.zero_root_multiplicity
+    hull = polygon.vertices[zero_mult:]
+    loci = [RootLocus(Z, zero_mult, 1)] if zero_mult else []
+    for (i1, h1), (i2, h2) in zip(hull, hull[1:]):
+        slope = polygon.slopes[i1 - zero_mult]
+        assert slope == (h2 - h1) / (i2 - i1), str(p)
+        loci.append(RootLocus(TropValue(slope), i2 - i1, i1 + 1))
+    assert roots_with_multiplicities(p) == loci, str(p)
+    assert factor(p) == (p.lead, [_linear(locus.root) for locus in loci
+                                  for _ in range(locus.multiplicity)]), str(p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(free_poly(), free_poly())
+def test_max_plus_is_the_top_of_each_product_row(p, q):
+    scale, a, b = _scaled(p.coeffs, q.coeffs)
+    tops = _max_plus(a, b)
+    assert [TropValue._from_scaled(v, scale) for v in tops] == [
+        row.top for row in product_coefficient_sets(p, q)], (str(p), str(q))
 
 
 def test_hostile_denominators_polygon_matches_reference():
