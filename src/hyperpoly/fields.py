@@ -29,7 +29,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import EmptySumError, ResultTooLarge
+from .errors import EmptySumError, ResultTooLarge, _quoted
 
 __all__ = [
     "TropValue",
@@ -471,7 +471,7 @@ class SignField:
     def parse_element(text: str) -> int:
         v = int(text.strip())
         if v not in SIGN_ELEMENTS:
-            raise ValueError(f"sign values are -1, 0 or 1, got {str(v)[:20]}")
+            raise ValueError(f"sign values are -1, 0 or 1, got {_quoted(v)}")
         return v
 
     @staticmethod

@@ -25,7 +25,7 @@ from functools import partial, reduce
 
 from .fields import SIGN, TROPICAL, TROP_ZERO, TropValue
 from .parsing import format_polynomial
-from .polynomials import Polynomial, in_product, pushforward
+from .polynomials import Polynomial, _cross_terms, in_product, pushforward
 
 __all__ = [
     "sign_map",
@@ -61,16 +61,8 @@ def laurent_add(f: dict, g: dict) -> dict:
 
 
 def laurent_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            c = out.get(e, Fraction(0)) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-    return out
+    return reduce(laurent_add, ({e1 + e2: c1 * c2} for e1, c1 in f.items()
+                                for e2, c2 in g.items()), {})
 
 
 def laurent_str(f: dict) -> str:
@@ -100,11 +92,7 @@ def _poly_mul(ring, f, g) -> list:
     """The product of coefficient lists f and g over ``ring``, a source
     ring given as (zero, one, add, mul)."""
     zero, _, add, mul = ring
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = add(out[i + j], mul(a, b))
-    return out
+    return [reduce(add, t, zero) for t in _cross_terms(mul, f, g)]
 
 
 _RATIONALS = (Fraction(0), Fraction(1), operator.add, operator.mul)

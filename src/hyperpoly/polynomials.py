@@ -9,9 +9,14 @@ every construction runs it exactly once.
 
 The product of two polynomials is a *set*: its i-th coefficient ranges
 over the hypersum of all cross terms ``c_k * d_l`` with ``k + l = i``.
-The product kernels, the membership search and the division checks
-read plain coefficient tuples; a ``Polynomial`` is built only at the API
-edge, for a caller's inputs and answers.
+``_cross_terms`` is the one routine that lists them, row by row, under a
+given multiplication: the field table's in ``_product_rows``, the ints'
+in the sign chain's last link, a source ring's in ``morphisms``.  The
+tropical hot path keeps two kernels that list none, ``_max_plus`` and
+the lowering's row scan, because each needs only a row's top and
+runner-up on ``_scaled`` ints.  These kernels, the membership search and
+the division checks read plain coefficient tuples; a ``Polynomial`` is
+built only at the API edge, for a caller's inputs and answers.
 n-fold products are defined by the left-nested recursion (the product
 is not associative, so the nesting matters).  Over the sign field two
 factors are decided by the row check alone, each target coefficient
@@ -61,6 +66,7 @@ exponents.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
@@ -110,9 +116,10 @@ class Polynomial(_Record):
 
     def __post_init__(self):
         cs = tuple(self.coeffs)
-        while cs and self.field.is_zero(cs[-1]):
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        n = len(cs)  # one past the last nonzero coefficient
+        while n and self.field.is_zero(cs[n - 1]):
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
 
     @property
     def degree(self):
@@ -157,7 +164,7 @@ def sign_poly(coeffs: Iterable[int]) -> Polynomial:
     cs = tuple(coeffs)
     for c in cs:
         if c not in (-1, 0, 1):
-            raise ValueError(f"sign coefficients are -1, 0 or 1, got {c!r}")
+            raise ValueError(f"sign coefficients are -1, 0 or 1, got {_quoted(c)}")
     return Polynomial(SIGN, cs)
 
 
@@ -178,11 +185,19 @@ def _require_nonzero(*polys):
             raise ZeroOperandError("operation undefined for the zero polynomial")
 
 
+def _cross_terms(mul: Callable, c: Sequence, d: Sequence) -> list:
+    """The cross terms ``mul(c_k, d_l)`` of nonempty coefficient sequences
+    c and d, one list per row k + l, each in increasing k."""
+    rows = [[] for _ in range(len(c) + len(d) - 1)]
+    for k, x in enumerate(c):
+        for i, y in enumerate(d, k):
+            rows[i].append(mul(x, y))
+    return rows
+
+
 def _product_rows(f, c: tuple, d: tuple) -> list:
     """Per-index hypersums over f of the cross terms of coefficient tuples c and d."""
-    n, m = len(c) - 1, len(d) - 1
-    return [f.hyperadd([f.mul(c[k], d[i - k]) for k in range(max(0, i - m), min(n, i) + 1)])
-            for i in range(n + m + 1)]
+    return [f.hyperadd(t) for t in _cross_terms(f.mul, c, d)]
 
 
 def product_coefficient_sets(p: Polynomial, q: Polynomial) -> tuple:
@@ -308,13 +323,14 @@ def in_product(r: Polynomial, factors: Sequence[Polynomial]) -> bool:
         if q.field is not f:
             raise ValueError("factors live over different fields")
     _require_nonzero(*fs)
-    if r.is_zero:
+    coeffs = [q.coeffs for q in fs]
+    if not r.coeffs:
         return False
     if len(fs) == 1:
         return r == fs[0]
-    if r.degree != sum(q.degree for q in fs):
+    if len(r.coeffs) + len(coeffs) - 1 != sum(map(len, coeffs)):  # deg r = sum of degrees
         return False
-    return _chain_member(f, r.coeffs, [q.coeffs for q in fs])
+    return _chain_member(f, r.coeffs, coeffs)
 
 
 def _chain_member(field, target: tuple, coeffs) -> bool:
@@ -340,11 +356,7 @@ def _chain_member(field, target: tuple, coeffs) -> bool:
     last = len(coeffs) - 1
 
     def is_last_link(cs):  # cs keeps a nonzero lead, so the rows line up with the target
-        terms = [[] for _ in target]  # the cross terms of each row
-        for k, x in enumerate(cs):
-            for i, y in enumerate(coeffs[last], k):
-                terms[i].append(x * y)
-        return all(map(SIGN.contains, target, terms))
+        return all(map(SIGN.contains, target, _cross_terms(operator.mul, cs, coeffs[last])))
 
     if last == 1:
         return is_last_link(coeffs[0])

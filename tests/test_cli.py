@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import hyperpoly
 from hyperpoly import TROPICAL, cli
 
@@ -240,6 +242,20 @@ def test_hostile_input_matrix(capsys, monkeypatch, tmp_path):
         if tuple(argv) in PINNED_EXITS:
             pinned[tuple(argv)] = code
     assert pinned == PINNED_EXITS
+
+
+@pytest.mark.parametrize("command, field, zero", [("irreducible", "sign", "0"),
+                                                  ("roots", "tropical", "zero")])
+def test_long_run_of_trailing_zeros_is_refused_quickly(capsys, command, field, zero):
+    # a constant with 100,000 trailing zeros: trimming them is one pass, not one
+    # tuple copy per zero, so the refusal keeps the hostile matrix's 2 s budget
+    argv = [command, f"--field={field}", "--poly=[1" + f",{zero}" * 100_000 + "]"]
+    start = time.perf_counter()
+    code = cli.run(argv, out=io.StringIO())
+    took = time.perf_counter() - start
+    assert code == 3
+    assert "[ConstantPolynomial]" in capsys.readouterr().err
+    assert took < 2, took
 
 
 def test_subcommands_are_the_table():

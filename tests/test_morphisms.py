@@ -1,5 +1,6 @@
 """Coefficient morphisms and the factorization-pushforward oracle."""
 
+import random
 from fractions import Fraction
 
 from hyperpoly import (
@@ -101,3 +102,43 @@ def test_nonuniqueness_witness():
     assert second["rational_product"] == ["1", "3", "3", "1"]
     assert first["image_factors"] == sorted(["T+1", "T^2+1"])
     assert second["image_factors"] == ["T+1", "T+1", "T+1"]
+
+
+def _double_loop_product(f, g, times):
+    """The exact product of coefficient lists f and g by a plain double loop
+    over index pairs; ``times`` multiplies two coefficients into an
+    {exponent: coefficient} dict; zero coefficients are dropped at the end."""
+    rows = [{} for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            for e, c in times(a, b).items():
+                rows[i + j][e] = rows[i + j].get(e, 0) + c
+    return [{e: c for e, c in row.items() if c} for row in rows]
+
+
+def _laurent_times(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_exact_products_match_a_double_loop():
+    rng = random.Random(3)
+
+    def small():  # few values, so that sums cancel often
+        return F(rng.randint(-2, 2), rng.randint(1, 2))
+
+    def laurent():
+        return {e: c for e in rng.sample(range(-2, 3), rng.randint(0, 3)) if (c := small())}
+
+    for _ in range(300):
+        f = [small() for _ in range(rng.randint(1, 5))]
+        g = [small() for _ in range(rng.randint(1, 5))]
+        expected = _double_loop_product(f, g, lambda a, b: {0: a * b})
+        assert rational_poly_mul(f, g) == [row.get(0, F(0)) for row in expected]
+        f = [laurent() for _ in range(rng.randint(1, 4))]
+        g = [laurent() for _ in range(rng.randint(1, 4))]
+        assert laurent_poly_mul(f, g) == _double_loop_product(f, g, _laurent_times)
+        assert laurent_mul(f[0], g[0]) == _laurent_times(f[0], g[0])

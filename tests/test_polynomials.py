@@ -7,12 +7,15 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     NEG_INF,
     Polynomial,
     SIGN,
     SIGN_ALL,
+    TROP_ZERO,
     TROPICAL,
     TropSubset,
     TropValue,
@@ -78,6 +81,29 @@ def test_product_coefficient_sets_tropical():
     sets = product_coefficient_sets(p, p)
     assert sets[1] == TropSubset.closed_interval(L(0))
     assert sets[0] == TropSubset.singleton(L(0))
+
+
+# small exponents with denominators 1-7, so that rows often tie
+EXPONENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+# a nonzero lead after zeros anywhere, leading and interior included
+TROP_COEFFS = st.builds(lambda body, lead: [*body, lead],
+                        st.lists(st.none() | EXPONENTS, max_size=5), EXPONENTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TROP_COEFFS, TROP_COEFFS)
+def test_product_coefficient_sets_tropical_match_the_definition(c, d):
+    rows = product_coefficient_sets(trop_poly(c), trop_poly(d))
+    assert len(rows) == len(c) + len(d) - 1
+    for i, row in enumerate(rows):
+        terms = [x + y for k, x in enumerate(c) for l, y in enumerate(d)
+                 if k + l == i and x is not None and y is not None]
+        if not terms:  # every cross term is the zero
+            assert row == TropSubset.closed_interval(TROP_ZERO)
+            continue
+        top = max(terms)
+        tied = terms.count(top) > 1
+        assert row == (TropSubset.closed_interval if tied else TropSubset.singleton)(L(top))
 
 
 def test_product_rejects_zero_operand():
@@ -219,6 +245,20 @@ def test_division_entry_points_refuse_values_outside_the_field():
     for shown, call in calls.items():
         with pytest.raises(ValueError, match=f"^sign values are -1, 0 or 1, got {shown}$"):
             call()
+
+
+def test_bad_sign_coefficients_and_values_are_quoted_bounded():
+    calls = {"1" + "0" * 19: lambda: sign_poly([1, 10**5000]),  # no 5,001-digit string
+             repr("x" * 20): lambda: sign_poly(["x" * 100]),
+             "2": lambda: sign_poly([2])}
+    for shown, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"sign coefficients are -1, 0 or 1, got {shown}") + "$"):
+            call()
+    for text in ("-" + "9" * 30, "1" * 30, "2"):  # the text is str(v)[:20], as before
+        with pytest.raises(ValueError, match=re.escape(
+                f"sign values are -1, 0 or 1, got {text[:20]}") + "$"):
+            SIGN.parse_element(text)
 
 
 def test_associated_and_monic():
