@@ -391,14 +391,17 @@ _DECIMAL = r"[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_
 
 
 def _check_numeral_size(text: str) -> None:
-    """Refuse a decimal numeral whose numerator or denominator, before
-    reduction, would have more than MAX_NUMERAL_DIGITS digits.
-
-    This runs before ``Fraction`` sees the text, because ``Fraction``
-    expands an exponent in full: ``1e100000000`` would build
-    10**100000000.  The caller skips numerals that are short and have no
-    exponent; ``int`` refuses over-long digit runs itself.
-    """
+    """Refuse a numeral with more than MAX_NUMERAL_DIGITS digits in a row,
+    leading zeros included, or a decimal one whose numerator or
+    denominator, before reduction, would have more.  Both fields run it
+    before ``int`` or ``Fraction`` sees the text: ``int`` refuses a longer
+    run with a message of its own, and ``Fraction`` expands an exponent in
+    full (``1e100000000`` would build 10**100000000).  Callers skip
+    numerals that are short and have no exponent."""
+    for run in re.findall(r"\d[\d_]*", text):
+        if len(run) - run.count("_") > MAX_NUMERAL_DIGITS:
+            raise ValueError(f"numerals have at most {MAX_NUMERAL_DIGITS} digits in a row, "
+                             f"got {_quoted(run)}")
     m = re.fullmatch(_DECIMAL, text)
     if m is None:  # "zero", p/q, or not a number: Fraction decides
         return
@@ -469,6 +472,8 @@ class SignField:
 
     @staticmethod
     def parse_element(text: str) -> int:
+        if len(text) > MAX_NUMERAL_DIGITS:
+            _check_numeral_size(text)
         v = int(text.strip())
         if v not in SIGN_ELEMENTS:
             raise ValueError(f"sign values are -1, 0 or 1, got {_quoted(v)}")

@@ -95,8 +95,6 @@ def _parse_sign_text(text: str) -> Polynomial:
             if tok[0] in "+-":
                 sign = -1 if tok[0] == "-" else 1
                 tok = tok[1:]
-            if not tok:
-                raise PolynomialParseError("dangling sign", column)
             if tok == "1":
                 c, k = sign, 0
             elif tok[0] == "T":

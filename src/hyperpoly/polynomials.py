@@ -376,37 +376,35 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
     w_i[j] and the terms w_{i-1}[k] + coeffs[i][j - k], is attained twice
     or every entry is the zero.  Bounds start at the all-tops
     intermediates, the max-plus products of the leading factors, and
-    only come down, by two rules per row, where ``first`` and ``second``
-    are the largest and the runner-up term bound (equal for a tie):
+    only come down, by one rule per row: an entry whose bound alone is
+    the row's largest comes down to the runner-up, the zero if there is
+    none, the value bound directly and a term through its w_{i-1}[k].
+    Where that entry is fixed, the target in the last link or a term of
+    the first link, the rule refutes membership.
 
-    1. a value bound above ``first`` comes down to ``first``; at the target
-       that refutes membership;
-    2. a term that alone is largest and above the value bound comes down to
-       the larger of the value bound and ``second``; in the first link,
-       whose terms are fixed, that refutes membership.
-
-    Two factors have no intermediates, so the rules read the row check:
-    rule 1 at the target says c <= top, and rule 2 in the first link says
-    c = top unless the row is tied.  One sweep decides, and stops at the
+    Two factors have no intermediates, so every entry is fixed and the
+    rule is the row check itself.  One sweep decides, and stops at the
     first failing row.
 
     The first sweep starts at the last link, the one into the target.
     At the all-tops bounds every row of an earlier link has its value
     equal to its largest term bound, the max-plus top of the row, or
-    both are the zero.  So neither rule fires there, those links would
-    leave every bound as it is, and skipping them changes no later sweep,
-    replay or answer.
+    both are the zero.  So no entry there is alone largest, those links
+    would leave every bound as it is, and skipping them changes no later
+    sweep, replay or answer.
 
-    Why the answer is exact.  Every chain lies below the all-tops chain,
-    and each rule lowers a bound only past values that no chain below the
-    bounds can take, so every chain stays below the bounds.  When no rule
-    applies, every row holds with its entries at their bounds, so the
-    bounds are a chain: the greatest one.  (That it exists also follows
-    from each row relation being closed under the coordinatewise maximum,
-    as Jeavons and Cooper observe for max-closed constraints: the larger
-    of two rows' maxima keeps its ties, or both rows attain it.)
+    Why the answer is exact.  Every chain lies below the all-tops chain.
+    In a chain below the bounds an entry above its row's runner-up bound
+    would alone be largest, so the rule lowers a bound only past values
+    that no such chain can take, and every chain stays below the bounds.
+    When the rule applies nowhere, every row holds with its entries at
+    their bounds, so the bounds are a chain: the greatest one.  (That it
+    exists also follows from each row relation being closed under the
+    coordinatewise maximum, as Jeavons and Cooper observe for max-closed
+    constraints: the larger of two rows' maxima keeps its ties, or both
+    rows attain it.)
 
-    Why the sweeps end.  Rule 2 can chase two bounds downward for ever:
+    Why the sweeps end.  The rule can chase two bounds downward for ever:
     a zero target coefficient may ask w[1] + c to tie w[2] + d in one row
     and w[1] + c' to tie w[2] + d' in another.  So a bound below ``floor``
     becomes the zero.  That is sound: raising a set of finite
@@ -439,7 +437,7 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
             below, q, w = levels[idx - 1], coeffs[idx], levels[idx]
             m, n = len(q) - 1, len(below) - 1
             for i, v in enumerate(w):
-                first = second = None
+                first, second, top = v, None, None  # the value bound is an entry too
                 for k in range(i - m if i > m else 0, (i if i < n else n) + 1):
                     x, y = below[k], q[i - k]
                     if x is None or y is None:
@@ -449,22 +447,17 @@ def _greatest_chain(target: tuple, coeffs) -> list | None:
                         first, second, top = s, first, k
                     elif second is None or s > second:
                         second = s
-                if v is not None and (first is None or v > first):  # rule 1
-                    if idx == last:
+                if first is not None and (second is None or first > second):  # alone largest
+                    if idx == (last if top is None else 1):  # a fixed entry
                         return None
                     if floor is None:
                         floor = _chain_floor(target, coeffs, size)
-                    w[i] = v = None if first is None or first < floor else first
-                    moved = True
-                if (first is not None and (v is None or first > v)
-                        and (second is None or first > second)):  # rule 2
-                    if idx == 1:
-                        return None
-                    if floor is None:
-                        floor = _chain_floor(target, coeffs, size)
-                    if v is None or second is not None and second > v:
-                        v = second
-                    below[top] = None if v is None or v - q[i - top] < floor else v - q[i - top]
+                    x = second if second is None or top is None else second - q[i - top]
+                    x = None if x is None or x < floor else x
+                    if top is None:
+                        w[i] = x
+                    else:
+                        below[top] = x
                     moved = True
         if not moved:
             return history[-1]

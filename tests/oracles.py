@@ -17,27 +17,31 @@ oracle likewise perturbs ``divide``'s answer, and keeps what
 ``reference_divides_linearly`` accepts: the coefficient relations of
 p in (T - a) * q checked one by one, where the library decides that
 membership as a two-factor product: by the hull check for a linear q,
-and otherwise by the lowering, whose rules on two factors are the row
+and otherwise by the lowering, whose rule on two factors is the row
 check.  The tests require the same verdict from both.  The tropical
 quotient search reference is the quotient walk on ``TropValue``
 coefficients, relations tested with ``TROPICAL.contains``, where the
 library walks integer-scaled exponents; the tests require the same list
 from both.  The closed form for linear factors, suffix products of the
 sorted roots on TropValue coefficients, is the reference for the
-all-tops hull check that decides them.  The plain lowering is
-``polynomials._greatest_chain``'s two row rules and floor written out
-again, sweep after sweep, without the replay that jumps over repeated
-sweeps; the tests require the same greatest chain from both where the
-replay jumps.  The Newton polygon reference is the monotone-chain hull
-on the Fraction heights themselves, where the library builds it on
-integer-scaled exponents; the tests require the same vertices, slopes
-and zero multiplicity from both.  The two division references reach the same
-quotients another way: tropical division by the sorted root list
-expanded from that reference polygon, and sign division by the root
-test of ``raw_sign_roots`` (the hypersum folded over the literal table)
-followed by a second scan for the first sign flip, where the library
-reads the root test and the split off one list of terms.  The tests
-require the same quotient or the same error from both.
+all-tops hull check that decides them.  The plain lowering states
+the lowering as two row rules, a value above every term comes down to
+the largest term and a term alone largest comes down to the larger of
+the value and the runner-up term, where ``polynomials._greatest_chain``
+applies one rule to the value and the terms alike; it is kept as an
+independent reference, with the same floor, sweep after sweep, without
+the replay that jumps over repeated sweeps.  The tests require the same
+greatest chain, or None, from both.  The Newton polygon reference is the
+monotone-chain hull on the Fraction heights themselves, where the
+library builds it on integer-scaled exponents; the tests require the
+same vertices, slopes and zero multiplicity from both.  The two division
+references reach the same quotients another way: tropical division by
+the sorted root list expanded from that reference polygon, and sign
+division by the root test of ``raw_sign_roots`` (the hypersum folded
+over the literal table) followed by a second scan for the first sign
+flip, where the library reads the root test and the split off one list
+of terms.  The tests require the same quotient or the same error from
+both.
 """
 
 from fractions import Fraction

@@ -187,7 +187,8 @@ def test_four_factor_linear_consistency():
 def test_target_above_the_all_tops_chain_is_refused_at_once():
     # the max-plus product of (1 + T + T^2)^8 with its middle coefficient
     # raised: the all-tops chain holds every row, so the lowering's first
-    # sweep reaches the target and refutes it by rule 1 at that coefficient
+    # sweep reaches the target and refutes it at that coefficient, which
+    # alone is largest in its row and cannot come down
     fs = [trop_poly([0, 0, 0])] * 8
     raised = [0] * 17
     raised[8] = 1
@@ -200,7 +201,7 @@ def test_target_above_the_all_tops_chain_is_refused_at_once():
 def test_target_below_the_all_tops_chain_is_refused_at_once():
     # the README's example: it lies below the all-tops chain but misses
     # its value at a hull vertex, whose cross term strictly beats its row,
-    # so rule 2 lowers that term link by link down to the first factor
+    # so the lowering brings that term down link by link to the first factor
     r = parse_polynomial("0:T^10+-2:T^9+1:T^8+-1:T^7+5/3:T^6+-1:T^5+2:T^4+-1:T^3"
                          "+2:T^2+-1:T+2", TROPICAL)
     fs = _parse_all("0:T^2+-3:T+0;0:T^2+-2:T+1;0:T^2+-3:T+0;0:T^2+-2:T+1;0:T^2+-3:T+0")
@@ -539,6 +540,27 @@ def test_replay_stops_at_the_last_repeated_window(monkeypatch, depth):
         assert chain == plain_lowering(target, fs)
 
 
+def _all_tops(fs):
+    """The all-tops chain's end: each row's maximum, level by level, on
+    scaled ints with None the zero."""
+    tops = fs[0]
+    for q in fs[1:]:
+        tops = tuple(max((tops[k] + q[i - k] for k in range(len(tops)) if 0 <= i - k < len(q)
+                          and tops[k] is not None and q[i - k] is not None), default=None)
+                     for i in range(len(tops) + len(q) - 1))
+    return tops
+
+
+def _lowered(draw, tops):
+    """tops with the lead kept and one to three other coefficients lowered
+    by 1-3 or zeroed."""
+    target = list(tops)
+    for i in draw(st.sets(st.integers(0, len(target) - 2), min_size=1, max_size=3)):
+        step = draw(st.integers(1, 3))
+        target[i] = None if target[i] is None or draw(st.booleans()) else target[i] - step
+    return tuple(target)
+
+
 @st.composite
 def lowering_chain(draw):
     """Scaled factors, 3-4 of degree 1-2 with exponents in -3..3 and
@@ -547,16 +569,7 @@ def lowering_chain(draw):
     coeff = st.one_of(st.none(), st.integers(-3, 3))
     fs = [(*draw(st.lists(coeff, min_size=degree, max_size=degree)), draw(st.integers(-3, 3)))
           for degree in draw(st.lists(st.integers(1, 2), min_size=3, max_size=4))]
-    tops = fs[0]
-    for q in fs[1:]:
-        tops = tuple(max((tops[k] + q[i - k] for k in range(len(tops)) if 0 <= i - k < len(q)
-                          and tops[k] is not None and q[i - k] is not None), default=None)
-                     for i in range(len(tops) + len(q) - 1))
-    target = list(tops)
-    for i in draw(st.sets(st.integers(0, len(target) - 2), min_size=1, max_size=3)):
-        step = draw(st.integers(1, 3))
-        target[i] = None if target[i] is None or draw(st.booleans()) else target[i] - step
-    return tuple(target), fs
+    return _lowered(draw, _all_tops(fs)), fs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -578,3 +591,47 @@ def test_floor_on_demand_lowers_as_the_plain_lowering(question):
     assume(taken)
     assert len(taken) == 1
     assert chain == plain_lowering(*question), question
+
+
+@st.composite
+def any_chain(draw):
+    """Scaled factors, 2-4 of degree 1-3 with exponents in -3..3, zeros
+    allowed below nonzero leads, and a target with a nonzero lead: the
+    all-tops chain itself, a target below it (one to three coefficients
+    lowered or zeroed), a built member (each tied row's value drawn below
+    its top, link by link) or a target off it (each coefficient drawn
+    afresh)."""
+    coeff = st.one_of(st.none(), st.integers(-3, 3))
+    fs = [(*draw(st.lists(coeff, min_size=degree, max_size=degree)), draw(st.integers(-3, 3)))
+          for degree in draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))]
+    tops = _all_tops(fs)
+    place = draw(st.sampled_from(["at", "below", "member", "off"]))
+    if place == "at":
+        return tops, fs
+    if place == "below":
+        return _lowered(draw, tops), fs
+    if place == "member":
+        w = fs[0]
+        for q in fs[1:]:
+            rows = [sorted((w[k] + q[i - k] for k in range(len(w)) if 0 <= i - k < len(q)
+                            and w[k] is not None and q[i - k] is not None), reverse=True)
+                    for i in range(len(w) + len(q) - 1)]
+            w = tuple(None if not row else row[0] if len(row) == 1 or row[0] > row[1]
+                      else draw(st.one_of(st.none(), st.integers(row[0] - 3, row[0])))
+                      for row in rows)
+        return w, fs
+    body = draw(st.lists(st.one_of(coeff, st.integers(-12, 12)),
+                         min_size=len(tops) - 1, max_size=len(tops) - 1))
+    return (*body, draw(st.sampled_from([tops[-1], tops[-1] - 1, tops[-1] + 1]))), fs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(any_chain())
+def test_the_one_rule_lowers_as_the_two_rules(question):
+    # the lowering's one rule (an entry whose bound alone is its row's
+    # largest comes down to the runner-up) against the plain lowering's two
+    # (a value above the terms comes down to them, a term alone largest
+    # comes down to the larger of the value and the runner-up term): the
+    # same greatest chain, or None from both
+    assert _greatest_chain(*question) == plain_lowering(*question), question

@@ -1,5 +1,6 @@
 """Element arithmetic and multi-valued sums of the two hyperfields."""
 
+import re
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -14,6 +15,7 @@ from hyperpoly import (
     TROPICAL,
     TropSubset,
     TropValue,
+    parse_element,
     sign_hyperadd,
     trop_contains,
     trop_hyperadd,
@@ -153,3 +155,26 @@ def test_tropical_numerals_past_the_digit_limit_are_refused():
     for text in ("1e4300", "1e-4300", "1.5e-4299", "0e5000", "1e100000000", "-1e-100000000"):
         with pytest.raises(ValueError, match="4300 digits"):
             TROPICAL.parse_element(text)
+
+
+def test_numerals_past_the_int_digit_limit_are_refused_on_both_fields():
+    # a run of more than 4300 digits, leading zeros included, is refused
+    # with the library's own message, before int() or Fraction refuses it
+    # with Python's; numerals up to the limit keep their values
+    zeros = "0" * 4299
+    assert SIGN.parse_element(f" -{zeros}1 ") == -1
+    assert SIGN.parse_element("_".join(zeros + "1")) == 1  # underscores are no digits
+    assert TROPICAL.parse_element(zeros + "1") == L(1)
+    assert TROPICAL.parse_element(f"1/{zeros}3") == L(Fraction(1, 3))
+    assert TROPICAL.parse_element(f"1e{zeros}1") == L(10)
+    assert TROPICAL.parse_element("_".join("1" * 4300)) == L(int("1" * 4300))
+    for field, text, run in ((SIGN, "1" * 5000, "1"), (SIGN, "0" * 5000 + "1", "0"),
+                             (TROPICAL, "0" * 5000 + "1", "0"), (TROPICAL, "1" * 5000, "1"),
+                             (TROPICAL, "1/" + "0" * 5000 + "1", "0"),
+                             (TROPICAL, "1e" + "0" * 5000 + "1", "0")):
+        message = f"numerals have at most 4300 digits in a row, got {run * 20!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            field.parse_element(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad {field.name} value {text[:20]!r}: {message}") + "$"):
+            parse_element(text, field)

@@ -1,6 +1,7 @@
 """Round trips and error reporting for the text and JSON syntaxes."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -44,8 +45,17 @@ def test_json_object_form():
     assert p == sign_poly([1, -1, 1])
     q = parse_polynomial('{"field": "tropical", "coeffs": ["zero", "1/2", "3"]}', TROPICAL)
     assert q == trop_poly([None, Fraction(1, 2), 3])
-    with pytest.raises(PolynomialParseError):
-        parse_polynomial('{"field": "tropical", "coeffs": [1]}', SIGN)
+    for text, field, message in (
+            ('{"field": "tropical", "coeffs": [1]}', SIGN, "polynomial is over 'tropical'"),
+            ('{"coeffs": [1]}', SIGN, "bad polynomial object: 'field'"),
+            ('{"field": "x", "coeffs": [1]}', SIGN, "bad polynomial object: unknown field 'x'"),
+            ('{"field": "sign", "coeffs": 5}', SIGN, "coefficients must form a JSON array"),
+            ("[[1]]", TROPICAL, "bad tropical coefficient [1]"),
+            ("[null]", TROPICAL, "bad tropical coefficient None")):
+        with pytest.raises(PolynomialParseError, match=re.escape(message)):
+            parse_polynomial(text, field)
+    with pytest.raises(PolynomialParseError, match="field must be given"):
+        poly_from_json([1, 0])
 
 
 def test_json_rejects_inexact():
@@ -100,6 +110,9 @@ def test_syntax_errors():
         parse_polynomial("T+T", SIGN)  # duplicate exponent
     with pytest.raises(PolynomialParseError):
         parse_polynomial("1:S^2", TROPICAL)
+    for text, field in (("++T", SIGN), ("1++2", TROPICAL)):
+        with pytest.raises(PolynomialParseError, match="^empty term"):
+            parse_polynomial(text, field)
 
 
 def test_huge_exponent_rejected_quickly():

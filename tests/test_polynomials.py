@@ -57,6 +57,8 @@ def test_zero_polynomial_distinguished():
     z = sign_poly([0, 0])
     assert z.is_zero
     assert z == sign_poly([])
+    with pytest.raises(ZeroOperandError, match="no leading coefficient"):
+        z.lead
 
 
 def test_product_coefficient_sets_sign():
@@ -109,6 +111,8 @@ def test_product_coefficient_sets_tropical_match_the_definition(c, d):
 def test_product_rejects_zero_operand():
     with pytest.raises(ZeroOperandError):
         product_coefficient_sets(sign_poly([]), sign_poly([1, 1]))
+    with pytest.raises(ValueError, match="different fields"):
+        product_coefficient_sets(sign_poly([1, 1]), trop_poly([0, 0]))
 
 
 def test_in_product_sign_examples():
@@ -122,6 +126,10 @@ def test_in_product_sign_examples():
     assert in_product(sign_poly([-1, 0, 1]), [t_plus, t_minus])
     assert in_product(sign_poly([-1, 1, 1]), [t_plus, t_minus])
     assert not in_product(sign_poly([1, 0, 1]), [t_plus, t_minus])
+    with pytest.raises(ValueError, match="at least one factor"):
+        in_product(p, [])
+    with pytest.raises(ValueError, match="different fields"):
+        in_product(p, [t_plus, trop_poly([0, 0])])
 
 
 def test_in_product_two_factor_matches_enumeration():
@@ -146,6 +154,9 @@ def test_enumerate_product():
     assert enumerate_product([sign_poly([1, 1]), sign_poly([1, 1])]) == [sign_poly([1, 1, 1])]
     p = sign_poly([-1, 0, 1, 1])
     assert enumerate_product([sign_poly([1]), p]) == [p]
+    assert enumerate_product([p]) == [p]
+    with pytest.raises(ValueError, match="at least one factor"):
+        enumerate_product([])
 
 
 def test_three_factor_sign_chain_matches_enumeration():
@@ -432,11 +443,12 @@ def _two_factor_question(rng, field):
 
 
 def test_two_factor_membership_is_the_row_check():
-    # two factors are decided by the row check, which the tropical lowering
-    # reads as its two rules: in_product, and the division checks when p is
-    # T - a, agree with the rows of product_coefficient_sets and with the
-    # relation reference, on drawn members and on targets above the all-tops
-    # chain, below it at a hull vertex, or off the sign end coefficients
+    # two factors are decided by the row check, which is the tropical
+    # lowering's one rule where every entry is fixed: in_product, and the
+    # division checks when p is T - a, agree with the rows of
+    # product_coefficient_sets and with the relation reference, on drawn
+    # members and on targets above the all-tops chain, below it at a hull
+    # vertex, or off the sign end coefficients
     rng = random.Random(21)
     seen = Counter()
     for field in (SIGN, TROPICAL):

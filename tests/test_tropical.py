@@ -29,6 +29,7 @@ from hyperpoly import (
     trop_poly,
 )
 from hyperpoly.polynomials import _max_plus, _scaled
+from hyperpoly.tropical import render_newton_svg
 
 from oracles import (brute_search_quotients, hull_slopes, reference_divide,
                      reference_divides_linearly, reference_newton_polygon,
@@ -88,6 +89,11 @@ def test_newton_polygon_leading_zeros():
     assert polygon.zero_root_multiplicity == 2
     assert polygon.slopes == ()
     assert polygon.vertices == ((0, None), (1, None), (2, Fraction(0)))
+    # one finite point: the drawing gives each axis a unit range
+    svg = render_newton_svg(p, polygon)
+    assert svg.count("<circle") == 1
+    assert '<polyline points="50.00,250.00"' in svg
+    assert "c_0 = zero" in svg and "c_1 = zero" in svg
 
 
 def test_newton_polygon_rejects_constants():

@@ -95,6 +95,8 @@ def test_repr_text():
         "TropValue(zero)", "TropValue(1)", "TropValue(-1/2)"]
     assert repr(TropSubset(TROP_ZERO, False)) == "TropSubset(top=TropValue(zero), interval=True)"
     assert repr(TropSubset.singleton(L(1))) == "TropSubset(top=TropValue(1), interval=False)"
+    assert [str(s) for s in (TropSubset.singleton(L(1)), TropSubset.closed_interval(L(F(-1, 2))),
+                             TropSubset(TROP_ZERO, False))] == ["{1}", "[0, -1/2]", "[0, zero]"]
     assert repr(sign_poly([1, 0, -1])) == "Polynomial(sign, -T^2+1)"
     assert repr(trop_poly([0, "zero", "1/2"])) == "Polynomial(tropical, 1/2:T^2+0)"
     assert repr(_make(Factorization)[0]) == (
